@@ -221,12 +221,15 @@ void encode_record(const Record& rec, DeltaState& ds, ByteWriter& w,
         w.put_f64(c.bits_per_prb);
         const auto bytes = c.bits.to_bytes();
         w.put_bytes(bytes.data(), bytes.size());
-        util::BitVec energy;
-        for (int i = 0; i < c.n_cces; ++i) {
-          const auto idx = static_cast<std::size_t>(i);
-          energy.push_bit(idx < c.cce_used.size() && c.cce_used[idx]);
+        // CCE energy map: one bit per CCE, MSB-first, zero-padded (CCEs past
+        // cce_used read as silent).
+        const auto ncces = static_cast<std::size_t>(c.n_cces);
+        std::vector<std::uint8_t> ebytes((ncces + 7) / 8, 0);
+        for (std::size_t i = 0; i < ncces && i < c.cce_used.size(); ++i) {
+          if (c.cce_used[i]) {
+            ebytes[i / 8] |= static_cast<std::uint8_t>(0x80u >> (i % 8));
+          }
         }
-        const auto ebytes = energy.to_bytes();
         w.put_bytes(ebytes.data(), ebytes.size());
       }
       break;
@@ -309,9 +312,10 @@ bool decode_record(ByteReader& r, DeltaState& ds, Record& out,
         const auto ncces = static_cast<std::size_t>(c.n_cces);
         const std::uint8_t* ebytes = r.get_bytes((ncces + 7) / 8);
         if (ebytes == nullptr) break;
-        const auto energy = util::BitVec::from_bytes(ebytes, ncces);
         c.cce_used.resize(ncces);
-        for (std::size_t j = 0; j < ncces; ++j) c.cce_used[j] = energy.bit(j);
+        for (std::size_t j = 0; j < ncces; ++j) {
+          c.cce_used[j] = (ebytes[j / 8] & (0x80u >> (j % 8))) != 0;
+        }
         out.batch.cells.push_back(std::move(c));
       }
       break;

@@ -1,6 +1,7 @@
 #include "cap/replay.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/time.h"
 
@@ -92,10 +93,10 @@ void ReplayDriver::step(const Record& rec) {
         sf.cce_used = c.cce_used;
         sfs.push_back(std::move(sf));
       }
-      monitor_->on_pdcch_batch(sfs);
+      monitor_->on_pdcch_batch(std::move(sfs));
       if (batch_end_) batch_end_(rec.batch.sf_index);
       ++stats_.batches;
-      stats_.cell_subframes += sfs.size();
+      stats_.cell_subframes += rec.batch.cells.size();
       break;
     }
     case Record::Kind::kWindow:

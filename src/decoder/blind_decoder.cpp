@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -69,40 +70,65 @@ void BlindDecoder::reconfigure(const phy::CellConfig& cell) {
   for (auto& lane : memo_) lane.clear();
 }
 
-util::BitVec BlindDecoder::majority_decode(const phy::PdcchSubframe& sf,
-                                           int first_cce, int n_cces,
-                                           int msg_bits) const {
+util::BitVec majority_decode(const phy::PdcchSubframe& sf, int first_cce,
+                             int n_cces, int msg_bits) {
   const int reps = phy::repetitions_that_fit(msg_bits, n_cces);
-  util::BitVec out(static_cast<std::size_t>(msg_bits));
+  const auto len = static_cast<std::size_t>(msg_bits);
   const auto base = static_cast<std::size_t>(first_cce) * phy::kBitsPerCce;
-  for (int b = 0; b < msg_bits; ++b) {
-    int votes = 0;
+  // 64 message bits at a time: add each repetition's word into bit-sliced
+  // counters (plane k holds bit k of every position's ones-count), then
+  // keep the positions whose count beats half — votes > 0 exactly when
+  // ones > reps / 2 (integer division). 11 planes count to 2047, above the
+  // 16 * 72 repetitions even a 1-bit message could get at AL16.
+  constexpr int kPlanes = 11;
+  if (reps >= (1 << kPlanes)) {
+    throw std::invalid_argument("majority_decode: too many repetitions");
+  }
+  const auto half = static_cast<unsigned>(reps / 2);
+  util::BitVec out;
+  out.reserve(len);
+  for (std::size_t w = 0; 64 * w < len; ++w) {
+    const std::size_t n = std::min<std::size_t>(64, len - 64 * w);
+    std::uint64_t plane[kPlanes] = {};
     for (int r = 0; r < reps; ++r) {
-      const auto idx = base + static_cast<std::size_t>(r) * msg_bits + b;
-      votes += sf.bits.bit(idx) ? 1 : -1;
+      const auto pos = base + static_cast<std::size_t>(r) * len + 64 * w;
+      std::uint64_t carry = sf.bits.read_uint(pos, n) << (64 - n);
+      for (int k = 0; k < kPlanes && carry != 0; ++k) {
+        const std::uint64_t next = plane[k] & carry;
+        plane[k] ^= carry;
+        carry = next;
+      }
     }
-    out.set_bit(static_cast<std::size_t>(b), votes > 0);
+    // Bit-sliced `count > half`, most significant plane first.
+    std::uint64_t greater = 0;
+    std::uint64_t equal = ~0ULL;
+    for (int k = kPlanes; k-- > 0;) {
+      if ((half >> k) & 1U) {
+        equal &= plane[k];
+      } else {
+        greater |= equal & plane[k];
+        equal &= ~plane[k];
+      }
+    }
+    out.push_uint(greater >> (64 - n), n);
   }
   return out;
 }
 
-bool BlindDecoder::region_agrees(const phy::PdcchSubframe& sf, int first_cce,
-                                 int n_cces, const util::BitVec& msg) const {
-  const auto base_idx = static_cast<std::size_t>(first_cce) * phy::kBitsPerCce;
+bool region_agrees(const phy::PdcchSubframe& sf, int first_cce, int n_cces,
+                   const util::BitVec& msg) {
+  const auto base = static_cast<std::size_t>(first_cce) * phy::kBitsPerCce;
+  const auto region_bits = static_cast<std::size_t>(n_cces) * phy::kBitsPerCce;
   if (sf.coding != phy::PdcchCoding::kRepetition) {
     // Re-encode the Viterbi decision and correlate with the raw block:
     // a genuine codeword agrees except for channel noise; a wrong-format
     // or cross-message decision lands near 50%. kPolar re-encodes through
     // the nr::polar_* seam (today the identical convolutional stand-in).
-    const auto region = static_cast<std::size_t>(n_cces) * phy::kBitsPerCce;
     const util::BitVec re =
         sf.coding == phy::PdcchCoding::kPolar
-            ? nr::polar_rate_match(nr::polar_encode(msg), region)
-            : phy::rate_match(phy::conv_encode(msg), region);
-    std::size_t matches = 0;
-    for (std::size_t i = 0; i < re.size(); ++i) {
-      matches += sf.bits.bit(base_idx + i) == re.bit(i) ? 1 : 0;
-    }
+            ? nr::polar_rate_match(nr::polar_encode(msg), region_bits)
+            : phy::rate_match(phy::conv_encode(msg), region_bits);
+    const std::size_t matches = re.size() - sf.bits.mismatches(base, re);
     return static_cast<double>(matches) >= 0.85 * static_cast<double>(re.size());
   }
 
@@ -112,14 +138,11 @@ bool BlindDecoder::region_agrees(const phy::PdcchSubframe& sf, int first_cce,
   // content disagrees with the repetitions that produced it.
   const int reps =
       phy::repetitions_that_fit(static_cast<int>(msg.size()), n_cces);
-  const auto base = static_cast<std::size_t>(first_cce) * phy::kBitsPerCce;
-  std::size_t matches = 0;
   const auto rep_bits = static_cast<std::size_t>(reps) * msg.size();
+  std::size_t matches = rep_bits;
   for (int r = 0; r < reps; ++r) {
-    for (std::size_t i = 0; i < msg.size(); ++i) {
-      const auto idx = base + static_cast<std::size_t>(r) * msg.size() + i;
-      matches += sf.bits.bit(idx) == msg.bit(i) ? 1 : 0;
-    }
+    const auto rep_start = base + static_cast<std::size_t>(r) * msg.size();
+    matches -= sf.bits.mismatches(rep_start, msg);
   }
   // 0.93: passes the worst channel we decode through (~4-5% control BER)
   // while rejecting majorities formed over two unrelated messages (~75%).
@@ -131,12 +154,9 @@ bool BlindDecoder::region_agrees(const phy::PdcchSubframe& sf, int first_cce,
   // repetition check above is vacuous (the majority IS the only copy), and
   // the filler is the only redundancy separating a real message from noise
   // that happened to satisfy the CRC-residue plausibility checks.
-  const auto region_bits = static_cast<std::size_t>(n_cces) * phy::kBitsPerCce;
-  std::size_t filler_zeros = 0;
-  for (std::size_t i = rep_bits; i < region_bits; ++i) {
-    filler_zeros += sf.bits.bit(base + i) ? 0 : 1;
-  }
   const auto filler_total = region_bits - rep_bits;
+  const std::size_t filler_zeros =
+      filler_total - sf.bits.popcount(base + rep_bits, filler_total);
   return filler_total == 0 ||
          static_cast<double>(filler_zeros) >=
              0.9 * static_cast<double>(filler_total);
@@ -186,12 +206,9 @@ BlindDecoder::CandidateResult BlindDecoder::try_candidate(
     const phy::PdcchSubframe& sf, int al, int start) {
   // Extract the candidate span once: it is both the Viterbi input and the
   // memo key.
-  const auto region_bits = static_cast<std::size_t>(al) * phy::kBitsPerCce;
-  const auto base = static_cast<std::size_t>(start) * phy::kBitsPerCce;
-  util::BitVec span;
-  for (std::size_t i = 0; i < region_bits; ++i) {
-    span.push_bit(sf.bits.bit(base + i));
-  }
+  util::BitVec span =
+      sf.bits.slice(static_cast<std::size_t>(start) * phy::kBitsPerCce,
+                    static_cast<std::size_t>(al) * phy::kBitsPerCce);
 
   const auto ai = static_cast<std::size_t>(al_index(al));
   const auto pos = static_cast<std::size_t>(start / al);
@@ -239,8 +256,10 @@ std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
       const util::BitVec& span = spans[miss[m]];
       std::int32_t* pre = prefixes.data() + m * pre_stride;
       pre[0] = 0;
+      std::uint64_t word = 0;
       for (std::size_t b = 0; b < region_bits; ++b) {
-        pre[b + 1] = pre[b] + (span.bit(b) ? 1 : -1);
+        if (b % 64 == 0) word = span.word(b / 64);
+        pre[b + 1] = pre[b] + (((word >> (63 - b % 64)) & 1) != 0 ? 1 : -1);
       }
     }
     std::array<bool, phy::kMaxDecodeLanes> done{};
@@ -430,13 +449,9 @@ DecodeRun BlindDecoder::decode_compute(const phy::PdcchSubframe& sf) {
       misses.reserve(starts.size());
       for (std::size_t i = 0; i < starts.size(); ++i) {
         util::BitVec& span = spans[i];
-        span.clear();
-        span.reserve(region_bits);
-        const auto base =
-            static_cast<std::size_t>(starts[i]) * phy::kBitsPerCce;
-        for (std::size_t b = 0; b < region_bits; ++b) {
-          span.push_bit(sf.bits.bit(base + b));
-        }
+        span.assign_slice(sf.bits,
+                          static_cast<std::size_t>(starts[i]) * phy::kBitsPerCce,
+                          region_bits);
         MemoEntry& entry = memo_[ai][static_cast<std::size_t>(starts[i] / al)];
         if (entry.valid && entry.coding == sf.coding && entry.span == span) {
           results[i] = entry.result;

@@ -48,6 +48,19 @@ inline constexpr int kNumAlLanes = 5;
 void set_decode_lanes(int lanes);
 int decode_lanes();
 
+// Majority-vote the repetitions of a msg_bits-long message stored in
+// `n_cces` CCEs starting at `first_cce` (a tie decides 0).
+util::BitVec majority_decode(const phy::PdcchSubframe& sf, int first_cce,
+                             int n_cces, int msg_bits);
+
+// Re-encoding agreement check (path-metric stand-in). Repetition coding:
+// >= 93% of the repetition bits must match the message and, when a filler
+// tail follows the last repetition, >= 90% of it must read zero.
+// Convolutional/polar coding: the re-encoded, rate-matched message must
+// match >= 85% of the region.
+bool region_agrees(const phy::PdcchSubframe& sf, int first_cce, int n_cces,
+                   const util::BitVec& msg);
+
 struct DecodeStats {
   std::uint64_t candidates_tried = 0;
   std::uint64_t crc_failures = 0;
@@ -146,16 +159,6 @@ class BlindDecoder {
                              const int* starts, const util::BitVec* spans,
                              const std::size_t* miss, std::size_t n_miss,
                              CandidateResult* out);
-
-  // Majority-vote the repetitions of a msg_bits-long message stored in
-  // `n_cces` CCEs starting at `first_cce`.
-  util::BitVec majority_decode(const phy::PdcchSubframe& sf, int first_cce,
-                               int n_cces, int msg_bits) const;
-
-  // Re-encoding agreement check (path-metric stand-in): true when the
-  // candidate message is consistent with >=97% of the raw region bits.
-  bool region_agrees(const phy::PdcchSubframe& sf, int first_cce, int n_cces,
-                     const util::BitVec& msg) const;
 
   phy::CellConfig cell_;
   DecodeStats stats_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "obs/obs.h"
@@ -80,10 +81,19 @@ void Monitor::note_fault_edge(bool& state, bool now_active,
 }
 
 void Monitor::on_pdcch(const phy::PdcchSubframe& sf) {
-  on_pdcch_batch({sf});
+  on_pdcch_batch(std::vector<phy::PdcchSubframe>{sf});
 }
 
 void Monitor::on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs) {
+  run_batch(sfs);
+}
+
+void Monitor::on_pdcch_batch(std::vector<phy::PdcchSubframe>&& sfs) {
+  run_batch(sfs);
+}
+
+template <class Batch>
+void Monitor::run_batch(Batch& sfs) {
   struct Pending {
     phy::PdcchSubframe noisy;
     BlindDecoder* dec = nullptr;
@@ -98,7 +108,7 @@ void Monitor::on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs) {
   // Phase 1 — serial preparation, in input order. Every fault decision,
   // accounting update and rng_ noise draw happens here, so the random
   // stream each cell sees is independent of how phase 2 is scheduled.
-  for (const auto& sf : sfs) {
+  for (auto& sf : sfs) {
     auto dit = decoders_.find(sf.cell_id);
     if (dit == decoders_.end()) continue;
 
@@ -151,14 +161,18 @@ void Monitor::on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs) {
       continue;
     }
     Pending p;
-    p.noisy = sf;
-    if (base_ber + extra_ber > 0) {
-      phy::apply_bit_noise(p.noisy, base_ber + extra_ber, rng_);
-    }
     p.dec = dit->second.get();
     p.cell = sf.cell_id;
     p.sf_index = sf.sf_index;
     p.now = now;
+    if constexpr (std::is_const_v<Batch>) {
+      p.noisy = sf;
+    } else {
+      p.noisy = std::move(sf);
+    }
+    if (base_ber + extra_ber > 0) {
+      phy::apply_bit_noise(p.noisy, base_ber + extra_ber, rng_);
+    }
     pending.push_back(std::move(p));
   }
 

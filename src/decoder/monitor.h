@@ -67,7 +67,10 @@ class Monitor {
   // for any thread count), (2) side-effect-free decode_compute per cell,
   // potentially in parallel, (3) serial apply + fusion in the given order.
   // Byte-identical to calling on_pdcch per subframe in the same order.
+  // Each decoded control region is copied once, to take its noise.
   void on_pdcch_batch(const std::vector<phy::PdcchSubframe>& sfs);
+  // As above, but takes the regions over and applies the noise in place.
+  void on_pdcch_batch(std::vector<phy::PdcchSubframe>&& sfs);
 
   // RTprop changes adjust the activity window (paper averages over the
   // most recent RTprop of subframes).
@@ -101,6 +104,11 @@ class Monitor {
   bool has_cell(phy::CellId cell) const { return decoders_.contains(cell); }
 
  private:
+  // The body of both on_pdcch_batch overloads: Batch is a const vector
+  // (copy each region) or a mutable one (move each region).
+  template <class Batch>
+  void run_batch(Batch& sfs);
+
   void note_fault_edge(bool& state, bool now_active, fault::FaultType type,
                        phy::CellId cell, util::Time t, std::int64_t detail);
 

@@ -1,5 +1,7 @@
 #include "phy/pdcch.h"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace pbecc::phy {
@@ -89,15 +91,10 @@ bool PdcchBuilder::add(const Dci& dci, int aggregation_level) {
       // bits keep their (zero) filler value.
       const int reps = repetitions_that_fit(static_cast<int>(msg.size()), al);
       for (int r = 0; r < reps; ++r) {
-        for (std::size_t i = 0; i < msg.size(); ++i) {
-          sf_.bits.set_bit(base + static_cast<std::size_t>(r) * msg.size() + i,
-                           msg.bit(i));
-        }
+        sf_.bits.write(base + static_cast<std::size_t>(r) * msg.size(), msg);
       }
     } else {
-      for (std::size_t i = 0; i < region_bits; ++i) {
-        sf_.bits.set_bit(base + i, block.bit(i));
-      }
+      sf_.bits.write(base, block);
     }
     for (int c = start; c < start + al; ++c) {
       sf_.cce_used[static_cast<std::size_t>(c)] = true;
@@ -119,8 +116,24 @@ PdcchSubframe PdcchBuilder::build() && { return std::move(sf_); }
 
 void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng) {
   if (ber <= 0.0) return;
-  for (std::size_t i = 0; i < sf.bits.size(); ++i) {
-    if (rng.bernoulli(ber)) sf.bits.flip_bit(i);
+  // rng.bernoulli(ber) is `(x >> 11) * 2^-53 < ber`. Scaling by 2^53 is
+  // exact, so for the 53-bit integer k = x >> 11 that test is exactly
+  // k < ceil(ber * 2^53); every k passes once ber >= 1, and none for NaN.
+  // Same draws in the same order, so the flips and the RNG state after the
+  // call match the per-bit loop bit for bit.
+  constexpr double kScale = 0x1p53;
+  const double t = std::ceil(ber * kScale);
+  const std::uint64_t threshold =
+      t >= kScale ? (1ULL << 53) : t > 0 ? static_cast<std::uint64_t>(t) : 0;
+  const std::size_t n = sf.bits.size();
+  for (std::size_t w = 0; w < sf.bits.n_words(); ++w) {
+    const std::size_t len = std::min<std::size_t>(64, n - 64 * w);
+    std::uint64_t mask = 0;
+    for (std::size_t j = 0; j < len; ++j) {
+      mask = (mask << 1) | ((rng.next_u64() >> 11) < threshold ? 1 : 0);
+    }
+    mask <<= 64 - len;
+    if (mask != 0) sf.bits.xor_word(w, mask);
   }
 }
 

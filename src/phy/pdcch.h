@@ -3,10 +3,13 @@
 // This is the encode side of the SDR substitution: instead of live I/Q
 // samples, each cell emits one PdcchSubframe per millisecond — a control
 // region of CCEs (control channel elements, 72 bits each) into which DCI
-// messages are packed at an aggregation level of 1/2/4/8 CCEs with
-// repetition coding. A channel then flips bits at the monitor's control
-// BER, and the blind decoder (src/decoder) searches candidates exactly the
-// way the paper's srsLTE-based decoder does.
+// messages are packed at an aggregation level of 1/2/4/8 CCEs (plus 16 in
+// NR search spaces). The cell's PdcchCoding picks how a message fills its
+// CCEs: repeated copies with a zero filler tail, or the rate-1/3
+// convolutional code rate-matched to the region (kPolar, NR's stand-in,
+// currently the same code). A channel then flips bits at the monitor's
+// control BER, and the blind decoder (src/decoder) searches candidates
+// exactly the way the paper's srsLTE-based decoder does.
 #pragma once
 
 #include <cstdint>
@@ -79,6 +82,9 @@ class PdcchBuilder {
 
 // Flip each bit independently with probability `ber` — the monitor-side
 // reception noise. (The scheduled user itself sees the same channel.)
+// Draws one rng.next_u64() per bit in bit order and flips exactly where
+// rng.bernoulli(ber) would, so the result and the RNG state afterwards equal
+// a per-bit bernoulli loop's.
 void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng);
 
 // Number of repetitions of a (payload+CRC) message of `msg_bits` bits that

@@ -4,10 +4,6 @@ namespace pbecc::util {
 
 namespace {
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 // splitmix64: seeds the xoshiro state from a single 64-bit value.
 std::uint64_t splitmix64(std::uint64_t& x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -23,18 +19,6 @@ void Rng::reseed(std::uint64_t seed) {
   std::uint64_t x = seed;
   for (auto& s : s_) s = splitmix64(x);
   have_spare_normal_ = false;
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 double Rng::uniform() {

@@ -17,8 +17,19 @@ class Rng {
 
   void reseed(std::uint64_t seed);
 
-  // Uniform on the full 64-bit range.
-  std::uint64_t next_u64();
+  // Uniform on the full 64-bit range. Inline: the PDCCH reception noise
+  // draws once per control-region bit.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform double in [0, 1).
   double uniform();
@@ -51,6 +62,10 @@ class Rng {
   Rng fork();
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   bool have_spare_normal_ = false;
   double spare_normal_ = 0.0;

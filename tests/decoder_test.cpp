@@ -7,6 +7,8 @@
 #include "decoder/monitor.h"
 #include "decoder/user_tracker.h"
 #include "nr/numerology.h"
+#include "nr/polar.h"
+#include "phy/convolutional.h"
 #include "phy/pdcch.h"
 #include "util/rng.h"
 
@@ -148,6 +150,125 @@ TEST(BlindDecoder, WrongFormatNeverWins) {
       EXPECT_EQ(msgs[0].rnti, 0x123);
     }
   }
+}
+
+// Per-bit reference loops for the word-wise majority vote and agreement
+// check, as the decoder ran them before the control region was packed.
+util::BitVec reference_majority(const phy::PdcchSubframe& sf, int first_cce,
+                                int n_cces, int msg_bits) {
+  const int reps = phy::repetitions_that_fit(msg_bits, n_cces);
+  util::BitVec out(static_cast<std::size_t>(msg_bits));
+  const auto base = static_cast<std::size_t>(first_cce) * phy::kBitsPerCce;
+  for (int b = 0; b < msg_bits; ++b) {
+    int votes = 0;
+    for (int r = 0; r < reps; ++r) {
+      const auto idx = base + static_cast<std::size_t>(r * msg_bits + b);
+      votes += sf.bits.bit(idx) ? 1 : -1;
+    }
+    out.set_bit(static_cast<std::size_t>(b), votes > 0);
+  }
+  return out;
+}
+
+bool reference_agrees(const phy::PdcchSubframe& sf, int first_cce, int n_cces,
+                      const util::BitVec& msg) {
+  const auto base = static_cast<std::size_t>(first_cce) * phy::kBitsPerCce;
+  const auto region_bits = static_cast<std::size_t>(n_cces) * phy::kBitsPerCce;
+  if (sf.coding != phy::PdcchCoding::kRepetition) {
+    const util::BitVec re =
+        sf.coding == phy::PdcchCoding::kPolar
+            ? nr::polar_rate_match(nr::polar_encode(msg), region_bits)
+            : phy::rate_match(phy::conv_encode(msg), region_bits);
+    std::size_t matches = 0;
+    for (std::size_t i = 0; i < re.size(); ++i) {
+      matches += sf.bits.bit(base + i) == re.bit(i) ? 1 : 0;
+    }
+    return static_cast<double>(matches) >= 0.85 * static_cast<double>(re.size());
+  }
+  const int reps = phy::repetitions_that_fit(static_cast<int>(msg.size()), n_cces);
+  const auto rep_bits = static_cast<std::size_t>(reps) * msg.size();
+  std::size_t matches = 0;
+  for (std::size_t i = 0; i < rep_bits; ++i) {
+    matches += sf.bits.bit(base + i) == msg.bit(i % msg.size()) ? 1 : 0;
+  }
+  if (static_cast<double>(matches) < 0.93 * static_cast<double>(rep_bits)) {
+    return false;
+  }
+  std::size_t filler_zeros = 0;
+  for (std::size_t i = rep_bits; i < region_bits; ++i) {
+    filler_zeros += sf.bits.bit(base + i) ? 0 : 1;
+  }
+  const auto filler_total = region_bits - rep_bits;
+  return filler_total == 0 || static_cast<double>(filler_zeros) >=
+                                  0.9 * static_cast<double>(filler_total);
+}
+
+// Every AL (LTE's four and NR's AL16) at every CCE offset of a 32-CCE
+// region, every LTE and NR message length, all three codings: a true
+// message written at the offset (then channel noise) and random
+// neighbours, checked with the true message, the majority and a random
+// message.
+TEST(BlindDecoder, WordWiseVoteAndAgreementMatchPerBitReference) {
+  constexpr int kCces = 32;
+  std::vector<int> lengths;
+  for (const auto f : phy::kLteDciFormats) {
+    lengths.push_back(phy::dci_payload_bits(f) + 16);
+  }
+  for (const auto f : phy::kNrDciFormats) {
+    lengths.push_back(phy::dci_payload_bits(f) + 16);
+  }
+  util::Rng rng{4242};
+  auto random_bits = [&](std::size_t n) {
+    util::BitVec v;
+    for (std::size_t i = 0; i < n; ++i) v.push_bit((rng.next_u64() & 1) != 0);
+    return v;
+  };
+  int agreed = 0, rejected = 0;
+  for (const auto coding : {phy::PdcchCoding::kRepetition,
+                            phy::PdcchCoding::kConvolutional,
+                            phy::PdcchCoding::kPolar}) {
+    for (const int al : kAggregationLevels) {
+      const auto region_bits = static_cast<std::size_t>(al) * phy::kBitsPerCce;
+      for (int first = 0; first + al <= kCces; ++first) {
+        for (const int len : lengths) {
+          const double ber = (first % 3) * 0.04;  // 0, 4 % and 8 %
+          phy::PdcchSubframe sf;
+          sf.coding = coding;
+          sf.n_cces = kCces;
+          sf.bits = random_bits(static_cast<std::size_t>(kCces) * phy::kBitsPerCce);
+          const util::BitVec msg = random_bits(static_cast<std::size_t>(len));
+          const auto base = static_cast<std::size_t>(first) * phy::kBitsPerCce;
+          if (coding == phy::PdcchCoding::kRepetition) {
+            sf.bits.write(base, util::BitVec(region_bits));  // zero filler
+            const int reps = phy::repetitions_that_fit(len, al);
+            for (int r = 0; r < reps; ++r) {
+              sf.bits.write(base + static_cast<std::size_t>(r * len), msg);
+            }
+          } else {
+            sf.bits.write(base, phy::rate_match(phy::conv_encode(msg), region_bits));
+          }
+          phy::apply_bit_noise(sf, ber, rng);
+
+          SCOPED_TRACE(testing::Message() << "coding " << static_cast<int>(coding)
+                                          << " AL " << al << " first " << first
+                                          << " len " << len);
+          const util::BitVec maj = majority_decode(sf, first, al, len);
+          ASSERT_EQ(maj, reference_majority(sf, first, al, len));
+          for (const util::BitVec* m : {&msg, &maj}) {
+            const bool got = region_agrees(sf, first, al, *m);
+            ASSERT_EQ(got, reference_agrees(sf, first, al, *m));
+            (got ? agreed : rejected) += 1;
+          }
+          const util::BitVec other = random_bits(static_cast<std::size_t>(len));
+          ASSERT_EQ(region_agrees(sf, first, al, other),
+                    reference_agrees(sf, first, al, other));
+        }
+      }
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(agreed, 1000);
+  EXPECT_GT(rejected, 1000);
 }
 
 // ---------------------------------------------------------------- fusion

@@ -359,6 +359,47 @@ TEST(Pdcch, NoiseFlipsBitsDeterministically) {
   EXPECT_NEAR(flips / static_cast<double>(sf1.bits.size()), 0.1, 0.02);
 }
 
+// The word-wise noise against a per-bit rng.bernoulli(ber) loop: the same
+// bits flip and the RNG ends in the same state (the next draw agrees), for
+// region sizes that are not multiples of 64 and BERs from denormal-small to
+// beyond 1.
+TEST(Pdcch, NoiseMatchesPerBitBernoulli) {
+  const double bers[] = {1e-300, 1e-9, 1e-3, 0.05, 0.5, 1.0, 1.5};
+  const std::size_t sizes[] = {1, 63, 65, 72 * 3, 72 * 21 + 5, 72 * 84};
+  std::uint64_t seed = 1;
+  for (const double ber : bers) {
+    for (const std::size_t n : sizes) {
+      SCOPED_TRACE(testing::Message() << "ber " << ber << " n " << n);
+      util::Rng fill{seed};
+      PdcchSubframe sf;
+      for (std::size_t i = 0; i < n; ++i) sf.bits.push_bit(fill.bernoulli(0.5));
+      PdcchSubframe ref = sf;
+      util::Rng r_new{++seed}, r_ref{seed};
+      apply_bit_noise(sf, ber, r_new);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (r_ref.bernoulli(ber)) ref.bits.flip_bit(i);
+      }
+      EXPECT_EQ(sf.bits, ref.bits);
+      EXPECT_EQ(r_new.next_u64(), r_ref.next_u64());
+    }
+  }
+  // The integer threshold sits exactly on bernoulli's boundary: for a draw
+  // x, a BER of (x >> 11) * 2^-53 does not flip it, the next double up
+  // does, the next double down does not.
+  for (std::uint64_t seed2 = 1; seed2 <= 50; ++seed2) {
+    util::Rng peek{seed2};
+    const double at = static_cast<double>(peek.next_u64() >> 11) * 0x1p-53;
+    for (const double ber : {at, std::nextafter(at, 2.0), std::nextafter(at, 0.0)}) {
+      if (ber <= 0.0) continue;
+      util::Rng r_new{seed2}, r_ref{seed2};
+      PdcchSubframe sf;
+      sf.bits = util::BitVec(1);
+      apply_bit_noise(sf, ber, r_new);
+      EXPECT_EQ(sf.bits.bit(0), r_ref.bernoulli(ber)) << seed2 << " " << ber;
+    }
+  }
+}
+
 // --------------------------------------------------------------- channel
 
 TEST(Channel, MobilityTraceInterpolation) {

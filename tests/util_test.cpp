@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <utility>
+#include <vector>
 
 #include "util/arena.h"
 #include "util/bitvec.h"
@@ -418,6 +420,144 @@ TEST(BitVecTest, Append) {
   EXPECT_EQ(a.read_uint(0, 5), 0b10111u);
 }
 
+TEST(BitVecTest, RejectsMoreThan64BitFields) {
+  BitVec b(128);
+  EXPECT_THROW(b.push_uint(1, 65), std::invalid_argument);
+  EXPECT_EQ(b.size(), 128u);  // nothing appended
+  EXPECT_THROW(b.read_uint(0, 65), std::invalid_argument);
+  EXPECT_NO_THROW(b.push_uint(~0ULL, 64));
+  EXPECT_EQ(b.read_uint(128, 64), ~0ULL);
+  EXPECT_EQ(b.read_uint(0, 0), 0u);
+}
+
+TEST(BitVecTest, RangeChecksDoNotOverflow) {
+  constexpr auto kMax = std::numeric_limits<std::size_t>::max();
+  BitVec b(100);
+  // pos + n wraps around to a small number: must still be rejected.
+  EXPECT_THROW(b.read_uint(kMax - 2, 4), std::out_of_range);
+  EXPECT_THROW(b.read_uint(kMax, 1), std::out_of_range);
+  EXPECT_THROW(b.popcount(1, kMax), std::out_of_range);
+  EXPECT_THROW(b.popcount(kMax, 2), std::out_of_range);
+  EXPECT_THROW(b.slice(kMax - 10, 20), std::out_of_range);
+  EXPECT_THROW(b.write(kMax - 3, BitVec(10)), std::out_of_range);
+  EXPECT_THROW(b.mismatches(kMax - 3, BitVec(10)), std::out_of_range);
+  EXPECT_THROW(b.xor_word(2, 1ULL << 63), std::out_of_range);  // bit 128
+  EXPECT_THROW(b.xor_word(1, 1), std::out_of_range);  // bit 127, past size 100
+  EXPECT_THROW(b.word(2), std::out_of_range);
+}
+
+// Packed storage against a std::vector<bool> reference model under seeded
+// random operations: sizes 0..300 (63/64/65 included), unaligned ranges
+// straddling words, byte packing with non-multiple-of-8 tails, and
+// equality after edits near the tail.
+TEST(BitVecTest, MatchesVectorBoolModel) {
+  Rng rng{20201};
+  using Model = std::vector<bool>;
+  auto random_bits = [&](std::size_t n) {
+    Model m(n);
+    for (std::size_t i = 0; i < n; ++i) m[i] = (rng.next_u64() & 1) != 0;
+    return m;
+  };
+  auto build = [](const Model& m) {
+    BitVec v;
+    for (bool b : m) v.push_bit(b);
+    return v;
+  };
+  auto expect_same = [](const BitVec& v, const Model& m) {
+    ASSERT_EQ(v.size(), m.size());
+    for (std::size_t i = 0; i < m.size(); ++i) ASSERT_EQ(v.bit(i), m[i]) << i;
+  };
+  std::vector<std::size_t> sizes = {0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 300};
+  for (int k = 0; k < 40; ++k) {
+    sizes.push_back(static_cast<std::size_t>(rng.uniform_int(0, 300)));
+  }
+  for (const std::size_t n : sizes) {
+    SCOPED_TRACE(n);
+    const Model m = random_bits(n);
+    const BitVec v = build(m);
+    expect_same(v, m);
+    EXPECT_EQ(BitVec(n, true).popcount(0, n), n);
+
+    // Bytes: MSB-first, zero-padded; padding junk is ignored on the way in.
+    const auto bytes = v.to_bytes();
+    ASSERT_EQ(bytes.size(), (n + 7) / 8);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ((bytes[i / 8] >> (7 - i % 8)) & 1, m[i] ? 1 : 0);
+    }
+    auto junk = bytes;
+    if (n % 8 != 0) {
+      EXPECT_EQ(bytes.back() & (0xFF >> (n % 8)), 0);
+      junk.back() |= static_cast<std::uint8_t>(0xFF >> (n % 8));
+    }
+    EXPECT_EQ(BitVec::from_bytes(junk.data(), n), v);
+
+    for (int trial = 0; trial < 30 && n > 0; ++trial) {
+      const auto pos = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n)));
+      const auto len = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n - pos)));
+      // slice / assign_slice / popcount
+      const BitVec sl = v.slice(pos, len);
+      expect_same(sl, Model(m.begin() + static_cast<std::ptrdiff_t>(pos),
+                            m.begin() + static_cast<std::ptrdiff_t>(pos + len)));
+      std::size_t ones = 0;
+      for (std::size_t i = pos; i < pos + len; ++i) ones += m[i] ? 1 : 0;
+      EXPECT_EQ(v.popcount(pos, len), ones);
+      // read_uint of up to 64 bits
+      const std::size_t nb = std::min<std::size_t>(len, 64);
+      std::uint64_t want = 0;
+      for (std::size_t i = 0; i < nb; ++i) {
+        want = (want << 1) | (m[pos + i] ? 1 : 0);
+      }
+      EXPECT_EQ(v.read_uint(pos, nb), want);
+      // mismatches against random bits
+      const Model o = random_bits(len);
+      std::size_t diff = 0;
+      for (std::size_t i = 0; i < len; ++i) diff += m[pos + i] != o[i] ? 1 : 0;
+      EXPECT_EQ(v.mismatches(pos, build(o)), diff);
+      // write
+      BitVec w = v;
+      Model mw = m;
+      w.write(pos, build(o));
+      std::copy(o.begin(), o.end(), mw.begin() + static_cast<std::ptrdiff_t>(pos));
+      expect_same(w, mw);
+      EXPECT_EQ(w, build(mw));
+      // append
+      BitVec a = v;
+      Model ma = m;
+      a.append(build(o));
+      ma.insert(ma.end(), o.begin(), o.end());
+      expect_same(a, ma);
+      EXPECT_EQ(a, build(ma));
+    }
+
+    // Equality after set/flip near the tail, and word XOR.
+    if (n > 0) {
+      for (std::size_t back = 1; back <= std::min<std::size_t>(n, 3); ++back) {
+        BitVec e = v;
+        e.flip_bit(n - back);
+        EXPECT_NE(e, v);
+        e.set_bit(n - back, m[n - back]);
+        EXPECT_EQ(e, v);
+      }
+      const std::size_t w = (n - 1) / 64;
+      const std::size_t tail = n - 64 * w;
+      const std::uint64_t mask = rng.next_u64() & (~0ULL << (64 - tail));
+      BitVec x = v;
+      Model mx = m;
+      x.xor_word(w, mask);
+      for (std::size_t j = 0; j < tail; ++j) {
+        if ((mask >> (63 - j)) & 1) mx[64 * w + j] = !mx[64 * w + j];
+      }
+      expect_same(x, mx);
+      EXPECT_EQ(x, build(mx));
+    }
+    BitVec c = v;
+    c.clear();
+    EXPECT_EQ(c, BitVec{});
+  }
+}
+
 // ------------------------------------------------------------------ crc
 
 TEST(CrcTest, SensitiveToEveryBit) {
@@ -458,6 +598,30 @@ TEST(CrcTest, RangeMatchesPrefixCopy) {
   BitVec mid;
   for (std::size_t i = 8; i < 24; ++i) mid.push_bit(b.bit(i));
   EXPECT_EQ(crc16_range(b, 8, 16), crc16(mid));
+}
+
+// The byte-table crc16_range against the bit-serial CCITT loop, over
+// every length 0..200 at offsets that straddle word boundaries.
+TEST(CrcTest, RangeMatchesBitSerialReference) {
+  Rng rng{77};
+  BitVec b;
+  for (int i = 0; i < 4; ++i) b.push_uint(rng.next_u64(), 64);
+  auto reference = [&](std::size_t pos, std::size_t len) {
+    std::uint16_t crc = 0xFFFF;
+    for (std::size_t i = pos; i < pos + len; ++i) {
+      const bool msb = (crc & 0x8000) != 0;
+      crc = static_cast<std::uint16_t>(crc << 1);
+      if (msb != b.bit(i)) crc ^= 0x1021;
+    }
+    return crc;
+  };
+  for (std::size_t pos : {0u, 1u, 5u, 60u, 63u, 64u, 65u}) {
+    for (std::size_t len = 0; len <= 200 && pos + len <= b.size(); ++len) {
+      ASSERT_EQ(crc16_range(b, pos, len), reference(pos, len))
+          << "pos " << pos << " len " << len;
+    }
+  }
+  EXPECT_THROW(crc16_range(b, 250, 7), std::out_of_range);
 }
 
 // ---------------------------------------------------------------- arena

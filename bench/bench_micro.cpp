@@ -47,7 +47,8 @@ void BM_BlindDecodeSubframe(benchmark::State& state) {
 BENCHMARK(BM_BlindDecodeSubframe)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_ConvolutionalDecode(benchmark::State& state) {
-  // One Viterbi decode of an AL4 block (the srsLTE-equivalent path).
+  // One Viterbi decode of an AL4 block (the srsLTE-equivalent path) as a
+  // one-lane batch.
   phy::Dci d;
   d.rnti = 0x222;
   d.format = phy::DciFormat::kFormat1;
@@ -55,8 +56,12 @@ void BM_ConvolutionalDecode(benchmark::State& state) {
   d.mcs = {10, 1};
   const auto msg = phy::encode_dci(d);
   const auto block = phy::rate_match(phy::conv_encode(msg), 4 * 72);
+  phy::BatchDecodeJob job;
+  job.received = &block;
+  phy::BatchDecodeResult res;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(phy::conv_decode(block, msg.size()));
+    phy::conv_decode_batch(&job, 1, msg.size(), &res);
+    benchmark::DoNotOptimize(res.decoded);
   }
 }
 BENCHMARK(BM_ConvolutionalDecode);
@@ -167,7 +172,8 @@ int main(int argc, char** argv) {
     rep.add("scenario_8rep", wt.ms(),
             static_cast<double>(sfs) / (wt.ms() / 1000.0), attempts);
 
-    // Viterbi decode of an AL4 block; subframes_per_sec = decodes/sec here.
+    // One-lane Viterbi decode of an AL4 block; subframes_per_sec =
+    // decodes/sec here.
     phy::Dci d;
     d.rnti = 0x222;
     d.format = phy::DciFormat::kFormat1;
@@ -175,11 +181,14 @@ int main(int argc, char** argv) {
     d.mcs = {10, 1};
     const auto msg = phy::encode_dci(d);
     const auto block = phy::rate_match(phy::conv_encode(msg), 4 * 72);
+    phy::BatchDecodeJob job;
+    job.received = &block;
+    phy::BatchDecodeResult res;
     constexpr std::uint64_t kDecodes = 2000;
     bench::WallTimer vt;
     for (std::uint64_t i = 0; i < kDecodes; ++i) {
-      const auto out = phy::conv_decode(block, msg.size());
-      benchmark::DoNotOptimize(out);
+      phy::conv_decode_batch(&job, 1, msg.size(), &res);
+      benchmark::DoNotOptimize(res.decoded);
     }
     rep.add("viterbi_al4", vt.ms(),
             static_cast<double>(kDecodes) / (vt.ms() / 1000.0), kDecodes);

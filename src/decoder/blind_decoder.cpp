@@ -1,7 +1,6 @@
 #include "decoder/blind_decoder.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -15,8 +14,6 @@
 namespace pbecc::decoder {
 
 namespace {
-
-std::atomic<int> g_decode_lanes{8};
 
 // Blind-search format list per RAT: an LTE cell carries exactly the five
 // 36.212 formats (byte-identical with the pre-NR decoder), an NR cell
@@ -33,7 +30,7 @@ const phy::DciFormat* format_list(const phy::CellConfig& cell, int* n) {
 // Smallest integer `matches` count that satisfies region_agrees()'s
 // `matches >= frac * total` double comparison — derived with the same
 // double arithmetic so the lockstep path's integer threshold is exactly
-// the scalar path's acceptance boundary.
+// region_agrees()'s acceptance boundary.
 std::int32_t min_passing_matches(double frac, std::size_t total) {
   auto m = static_cast<std::int32_t>(frac * static_cast<double>(total));
   while (static_cast<double>(m) < frac * static_cast<double>(total)) ++m;
@@ -41,13 +38,6 @@ std::int32_t min_passing_matches(double frac, std::size_t total) {
 }
 
 }  // namespace
-
-void set_decode_lanes(int lanes) {
-  g_decode_lanes.store(std::clamp(lanes, 1, phy::kMaxDecodeLanes),
-                       std::memory_order_relaxed);
-}
-
-int decode_lanes() { return g_decode_lanes.load(std::memory_order_relaxed); }
 
 BlindDecoder::BlindDecoder(phy::CellConfig cell) : cell_(cell) {
   for (int i = 0; i < kNumAlLanes; ++i) {
@@ -162,70 +152,6 @@ bool region_agrees(const phy::PdcchSubframe& sf, int first_cce, int n_cces,
              0.9 * static_cast<double>(filler_total);
 }
 
-BlindDecoder::CandidateResult BlindDecoder::run_formats(
-    const phy::PdcchSubframe& sf, int al, int start,
-    const util::BitVec& span) const {
-  CandidateResult res;
-  int n_formats = 0;
-  const phy::DciFormat* formats = format_list(cell_, &n_formats);
-  for (int f = 0; f < n_formats; ++f) {
-    const auto format = formats[f];
-    const int msg_bits = phy::dci_payload_bits(format) + 16;
-    const bool conv = sf.coding != phy::PdcchCoding::kRepetition;
-    util::BitVec bits;
-    if (conv) {
-      const auto region_bits = static_cast<std::size_t>(al) * phy::kBitsPerCce;
-      const std::size_t steps =
-          static_cast<std::size_t>(msg_bits) + phy::kConvTailBits;
-      if (region_bits < 2 * steps) continue;  // infeasible rate
-      ++res.attempts;
-      bits = sf.coding == phy::PdcchCoding::kPolar
-                 ? nr::polar_decode(span, static_cast<std::size_t>(msg_bits))
-                 : phy::conv_decode(span, static_cast<std::size_t>(msg_bits));
-    } else {
-      if (phy::repetitions_that_fit(msg_bits, al) == 0) continue;
-      ++res.attempts;
-      bits = majority_decode(sf, start, al, msg_bits);
-    }
-    auto dci = phy::decode_dci(bits, format, cell_.n_prbs());
-    if (!dci.has_value()) {
-      ++res.failures;
-      continue;
-    }
-    if (!region_agrees(sf, start, al, bits)) {
-      ++res.failures;
-      continue;
-    }
-    res.dci = *dci;
-    break;  // this candidate is consumed
-  }
-  return res;
-}
-
-BlindDecoder::CandidateResult BlindDecoder::try_candidate(
-    const phy::PdcchSubframe& sf, int al, int start) {
-  // Extract the candidate span once: it is both the Viterbi input and the
-  // memo key.
-  util::BitVec span =
-      sf.bits.slice(static_cast<std::size_t>(start) * phy::kBitsPerCce,
-                    static_cast<std::size_t>(al) * phy::kBitsPerCce);
-
-  const auto ai = static_cast<std::size_t>(al_index(al));
-  const auto pos = static_cast<std::size_t>(start / al);
-  MemoEntry& entry = memo_[ai][pos];
-  if (entry.valid && entry.coding == sf.coding && entry.span == span) {
-    CandidateResult res = entry.result;
-    res.memo_hit = true;
-    return res;
-  }
-  CandidateResult res = run_formats(sf, al, start, span);
-  entry.valid = true;
-  entry.coding = sf.coding;
-  entry.span = std::move(span);
-  entry.result = res;
-  return res;
-}
-
 std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
                                          const int* starts,
                                          const util::BitVec* spans,
@@ -240,8 +166,8 @@ std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
   if (sf.coding != phy::PdcchCoding::kRepetition) {
     // Per-format waves: every still-undecided missing candidate decodes
     // format f's shape in one lockstep Viterbi batch. A candidate that
-    // validates drops out of the remaining waves, exactly like the scalar
-    // format loop's break.
+    // validates drops out of the remaining waves, exactly like a
+    // per-candidate format loop's break.
     //
     // Every wave rate-matches the same span, so scan each span exactly
     // once into vote prefix sums: each format's log-likelihoods then cost
@@ -362,8 +288,7 @@ std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
     }
   }
 
-  // Memo store, exactly as the scalar path would have recorded each
-  // candidate (memo_hit stays false inside the stored result).
+  // Memo store (memo_hit stays false inside the stored result).
   for (std::size_t m = 0; m < n_miss; ++m) {
     const std::size_t i = miss[m];
     MemoEntry& entry = memo_[ai][static_cast<std::size_t>(starts[i] / al)];
@@ -432,52 +357,44 @@ DecodeRun BlindDecoder::decode_compute(const phy::PdcchSubframe& sf) {
     const auto n_positions = static_cast<std::size_t>(sf.n_cces / al);
     if (memo_[ai].size() < n_positions) memo_[ai].resize(n_positions);
 
+    // Extract every span and probe the memo up front (cheap, serial), then
+    // pack only the misses into lane-sized blocks: steady-state subframes
+    // answer most candidates from the memo, and interleaving hits with
+    // misses would run mostly-empty batches. The block partition is a pure
+    // function of the miss list, so results and counters are independent
+    // of the thread count the blocks then fan out on.
     std::vector<CandidateResult> results(starts.size());
-    const auto lanes = static_cast<std::size_t>(decode_lanes());
-    if (lanes > 1) {
-      // Lockstep path. Extract every span and probe the memo up front
-      // (cheap, serial), then pack only the misses into lane-sized blocks:
-      // steady-state subframes answer most candidates from the memo, and
-      // interleaving hits with misses would run mostly-empty batches. The
-      // block partition is a pure function of the miss list, so results
-      // and counters are independent of the thread count the blocks then
-      // fan out on.
-      const auto region_bits = static_cast<std::size_t>(al) * phy::kBitsPerCce;
-      thread_local std::vector<util::BitVec> spans;
-      if (spans.size() < starts.size()) spans.resize(starts.size());
-      std::vector<std::size_t> misses;
-      misses.reserve(starts.size());
-      for (std::size_t i = 0; i < starts.size(); ++i) {
-        util::BitVec& span = spans[i];
-        span.assign_slice(sf.bits,
-                          static_cast<std::size_t>(starts[i]) * phy::kBitsPerCce,
-                          region_bits);
-        MemoEntry& entry = memo_[ai][static_cast<std::size_t>(starts[i] / al)];
-        if (entry.valid && entry.coding == sf.coding && entry.span == span) {
-          results[i] = entry.result;
-          results[i].memo_hit = true;
-        } else {
-          misses.push_back(i);
-        }
+    const auto region_bits = static_cast<std::size_t>(al) * phy::kBitsPerCce;
+    thread_local std::vector<util::BitVec> spans;
+    if (spans.size() < starts.size()) spans.resize(starts.size());
+    std::vector<std::size_t> misses;
+    misses.reserve(starts.size());
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      util::BitVec& span = spans[i];
+      span.assign_slice(sf.bits,
+                        static_cast<std::size_t>(starts[i]) * phy::kBitsPerCce,
+                        region_bits);
+      MemoEntry& entry = memo_[ai][static_cast<std::size_t>(starts[i] / al)];
+      if (entry.valid && entry.coding == sf.coding && entry.span == span) {
+        results[i] = entry.result;
+        results[i].memo_hit = true;
+      } else {
+        misses.push_back(i);
       }
-      if (!misses.empty()) {
-        const std::size_t n_blocks = (misses.size() + lanes - 1) / lanes;
-        std::vector<std::uint64_t> block_batches(n_blocks, 0);
-        par::parallel_for(n_blocks, [&](std::size_t b) {
-          const std::size_t lo = b * lanes;
-          const std::size_t n = std::min(lanes, misses.size() - lo);
-          block_batches[b] = decode_block(sf, al, starts.data(), spans.data(),
-                                          misses.data() + lo, n,
-                                          results.data());
-        });
-        for (const std::uint64_t n : block_batches) {
-          run.delta.lane_batches += n;
-        }
-      }
-    } else {
-      par::parallel_for(starts.size(), [&](std::size_t i) {
-        results[i] = try_candidate(sf, al, starts[i]);
+    }
+    if (!misses.empty()) {
+      constexpr auto kLanes = static_cast<std::size_t>(phy::kMaxDecodeLanes);
+      const std::size_t n_blocks = (misses.size() + kLanes - 1) / kLanes;
+      std::vector<std::uint64_t> block_batches(n_blocks, 0);
+      par::parallel_for(n_blocks, [&](std::size_t b) {
+        const std::size_t lo = b * kLanes;
+        const std::size_t n = std::min(kLanes, misses.size() - lo);
+        block_batches[b] = decode_block(sf, al, starts.data(), spans.data(),
+                                        misses.data() + lo, n, results.data());
       });
+      for (const std::uint64_t n : block_batches) {
+        run.delta.lane_batches += n;
+      }
     }
 
     for (std::size_t i = 0; i < starts.size(); ++i) {

@@ -25,6 +25,7 @@
 
 #include "obs/metrics.h"
 #include "phy/cell_config.h"
+#include "phy/convolutional.h"
 #include "phy/dci.h"
 #include "phy/pdcch.h"
 
@@ -38,15 +39,9 @@ constexpr int al_index(int al) {
 inline constexpr int kAggregationLevels[5] = {1, 2, 4, 8, 16};
 inline constexpr int kNumAlLanes = 5;
 
-// Candidates decoded in lockstep per batch (DESIGN.md §14): 1 selects the
-// scalar per-candidate path (the pre-batching hot path, kept both as the
-// fallback and as the honest A/B baseline for bench_replay --corpus);
-// 2..phy::kMaxDecodeLanes selects the SIMD-friendly lane-major batch path.
-// Results are byte-identical for every setting — the knob trades nothing
-// but speed. Set once before a run (like par::set_default_threads); reads
-// on the hot path are relaxed atomics.
-void set_decode_lanes(int lanes);
-int decode_lanes();
+// Candidates decoded in lockstep per block (DESIGN.md §14): the
+// compile-time width phy::kMaxDecodeLanes.
+constexpr int decode_lanes() { return phy::kMaxDecodeLanes; }
 
 // Majority-vote the repetitions of a msg_bits-long message stored in
 // `n_cces` CCEs starting at `first_cce` (a tie decides 0).
@@ -69,11 +64,10 @@ struct DecodeStats {
   // Candidates answered from the span memo instead of a fresh decode
   // (the span's soft bits were unchanged since the previous subframe).
   std::uint64_t memo_hits = 0;
-  // Batch-path diagnostics (all zero on the scalar lanes==1 path; none of
-  // them feed the determinism digests): lockstep Viterbi batches run,
-  // candidate-format attempts retired early because no surviving path
-  // could reach the acceptance metric, and attempts rejected by the
-  // CRC-first screen before any field parse.
+  // Lockstep-path diagnostics (none of them feed the determinism digests):
+  // lockstep Viterbi batches run, candidate-format attempts retired early
+  // because no surviving path could reach the acceptance metric, and
+  // attempts rejected by the CRC-first screen before any field parse.
   std::uint64_t lane_batches = 0;
   std::uint64_t early_aborts = 0;
   std::uint64_t screen_rejects = 0;
@@ -138,23 +132,14 @@ class BlindDecoder {
     std::optional<phy::Dci> dci;
   };
 
-  // Run all DCI formats at CCEs [start, start+al). Consults / refreshes
-  // the span memo; distinct positions touch distinct entries, so parallel
-  // calls for different candidates never race.
-  CandidateResult try_candidate(const phy::PdcchSubframe& sf, int al,
-                                int start);
-  CandidateResult run_formats(const phy::PdcchSubframe& sf, int al, int start,
-                              const util::BitVec& span) const;
-
-  // Lockstep path (decode_lanes() > 1): decode one lane-sized block of
-  // memo-miss candidates — per-DCI-format waves through
-  // phy::conv_decode_batch (convolutional cells) or the CRC-screened
-  // majority vote (repetition cells), then memo store. `miss[0..n_miss)`
-  // index into the AL's full `starts`/`spans`/`out` arrays (the caller
-  // already extracted spans and resolved memo hits); distinct blocks touch
-  // disjoint indices, so blocks run on pool threads without racing.
-  // Returns the number of Viterbi batches launched. Byte-identical
-  // outcomes to try_candidate() on each candidate.
+  // Decode one block of up to phy::kMaxDecodeLanes memo-miss candidates —
+  // per-DCI-format waves through phy::conv_decode_batch /
+  // nr::polar_decode_batch (convolutional and polar cells) or the
+  // CRC-screened majority vote (repetition cells), then memo store.
+  // `miss[0..n_miss)` index into the AL's full `starts`/`spans`/`out`
+  // arrays (the caller already extracted spans and resolved memo hits);
+  // distinct blocks touch disjoint indices, so blocks run on pool threads
+  // without racing. Returns the number of Viterbi batches launched.
   std::uint64_t decode_block(const phy::PdcchSubframe& sf, int al,
                              const int* starts, const util::BitVec* spans,
                              const std::size_t* miss, std::size_t n_miss,

@@ -95,7 +95,7 @@ class Monitor {
   std::uint64_t total_candidates_tried() const;
   // Lockstep-path diagnostics summed across all cell decoders: Viterbi lane
   // batches launched and candidate attempts retired by the exact-safe early
-  // abort. Both zero when decode_lanes() == 1.
+  // abort. Both zero on repetition-coded cells, which run no Viterbi.
   std::uint64_t total_lane_batches() const;
   std::uint64_t total_early_aborts() const;
 

@@ -11,11 +11,6 @@ util::BitVec polar_rate_match(const util::BitVec& coded,
   return phy::rate_match(coded, target_bits);
 }
 
-util::BitVec polar_decode(const util::BitVec& received,
-                          std::size_t payload_bits) {
-  return phy::conv_decode(received, payload_bits);
-}
-
 void polar_decode_batch(const phy::BatchDecodeJob* jobs, int n_jobs,
                         std::size_t payload_bits,
                         phy::BatchDecodeResult* results) {

@@ -29,14 +29,13 @@ util::BitVec polar_encode(const util::BitVec& payload);
 util::BitVec polar_rate_match(const util::BitVec& coded,
                               std::size_t target_bits);
 
-// Decode one rate-matched block back to `payload_bits` information bits.
-// Best-effort like the Viterbi path: callers validate with the CRC.
-util::BitVec polar_decode(const util::BitVec& received,
-                          std::size_t payload_bits);
-
-// Lockstep batch decode: same contract as phy::conv_decode_batch (equally
-// shaped lanes, exact-safe abort thresholds, per-lane metrics). The NR
-// blind decoder routes every kPolar candidate wave through here.
+// Decode rate-matched blocks back to `payload_bits` information bits, in
+// lockstep: same contract as phy::conv_decode_batch (1..kMaxDecodeLanes
+// equally shaped lanes, exact-safe abort thresholds, per-lane metrics,
+// std::invalid_argument on a broken contract). Best-effort like the
+// Viterbi path: callers validate with the CRC. The NR blind decoder
+// routes every kPolar candidate wave through here; a single block is a
+// one-lane batch.
 void polar_decode_batch(const phy::BatchDecodeJob* jobs, int n_jobs,
                         std::size_t payload_bits,
                         phy::BatchDecodeResult* results);

@@ -4,6 +4,9 @@
 #include <array>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "obs/profile.h"
 #include "util/arena.h"
@@ -16,8 +19,6 @@ namespace {
 constexpr std::array<std::uint32_t, 3> kGenerators = {0b1011011, 0b1111001,
                                                       0b1110101};
 constexpr int kNumStates = 1 << (kConvConstraint - 1);  // 64
-
-bool parity(std::uint32_t v) { return __builtin_popcount(v) & 1; }
 
 // Register layout: bit6 = current input, bits5..0 = previous six inputs
 // (newest at bit5). The successor state is reg >> 1.
@@ -47,19 +48,14 @@ constexpr std::array<std::uint8_t, 2 * kNumStates> make_branch_out() {
 }
 constexpr auto kBranchOut = make_branch_out();
 
-// Reusable per-thread decoder workspace. Blind decoding runs thousands of
-// candidate decodes per subframe (and, with pbecc::par, on several pool
-// threads at once); per-call vector allocation dominated the original
-// profile. The rate-match layout cache also lives here: a monitor sees
-// only a handful of (coded_bits, target_bits) shapes, one per
-// (payload size, aggregation level) pair.
-struct ViterbiScratch {
-  std::vector<std::int32_t> metric;
-  std::vector<std::int32_t> next_metric;
-  std::vector<std::uint8_t> survivor;    // flat [step * kNumStates + state]
-  std::vector<std::uint8_t> prev_state;  // flat, same layout
-  std::vector<std::int32_t> llr;
-  std::vector<std::int32_t> suffix_gain;
+// Workspace for the lockstep batch decoder: one arena per decode thread
+// (pool workers included) plus the rate-match layout cache — a monitor sees
+// only a handful of (coded_bits, target_bits) shapes, one per (payload
+// size, aggregation level) pair. Every per-batch array lives in the arena
+// and is recycled wholesale, so after warm-up a batch performs zero heap
+// allocations.
+struct BatchScratch {
+  util::Arena arena;
 
   struct CountsEntry {
     std::size_t coded = 0;
@@ -68,28 +64,6 @@ struct ViterbiScratch {
   };
   std::vector<CountsEntry> counts_cache;
 
-  const std::vector<int>& counts_for(std::size_t coded, std::size_t target) {
-    for (const auto& e : counts_cache) {
-      if (e.coded == coded && e.target == target) return e.counts;
-    }
-    counts_cache.push_back({coded, target, rate_match_counts(coded, target)});
-    return counts_cache.back().counts;
-  }
-};
-
-ViterbiScratch& scratch() {
-  thread_local ViterbiScratch ws;
-  return ws;
-}
-
-// Workspace for the lockstep batch decoder: one arena per decode thread
-// (pool workers included) plus the same rate-match layout cache the scalar
-// path keeps. Every per-batch array lives in the arena and is recycled
-// wholesale, so after warm-up a batch performs zero heap allocations.
-struct BatchScratch {
-  util::Arena arena;
-
-  std::vector<ViterbiScratch::CountsEntry> counts_cache;
   const std::vector<int>& counts_for(std::size_t coded, std::size_t target) {
     for (const auto& e : counts_cache) {
       if (e.coded == coded && e.target == target) return e.counts;
@@ -144,164 +118,15 @@ util::BitVec rate_match(const util::BitVec& coded, std::size_t target_bits) {
   return out;
 }
 
-util::BitVec conv_decode(const util::BitVec& received,
-                         std::size_t payload_bits) {
-  PBECC_PROF_SCOPE("viterbi");
-  const std::size_t steps = payload_bits + kConvTailBits;
-  const std::size_t coded_bits = kConvRateInv * steps;
+namespace {
 
-  auto& ws = scratch();
-
-  // Per-mother-bit log-likelihood from the (possibly repeated/punctured)
-  // received block: +count votes for 1, -count for 0, 0 = erasure.
-  ws.llr.assign(coded_bits, 0);
-  {
-    const auto& counts = ws.counts_for(coded_bits, received.size());
-    std::size_t j = 0;
-    for (std::size_t i = 0; i < coded_bits; ++i) {
-      for (int c = 0; c < counts[i]; ++c) {
-        ws.llr[i] += received.bit(j++) ? 1 : -1;
-      }
-    }
-  }
-
-  // suffix_gain[t] = the largest total branch gain any path can still
-  // collect from step t onward (each step contributes at most
-  // |v0|+|v1|+|v2|), and -suffix_gain[t] the smallest. Basis for the
-  // exact-safe pruning bound below.
-  ws.suffix_gain.assign(steps + 1, 0);
-  for (std::size_t t = steps; t-- > 0;) {
-    ws.suffix_gain[t] = ws.suffix_gain[t + 1] +
-                        std::abs(ws.llr[kConvRateInv * t]) +
-                        std::abs(ws.llr[kConvRateInv * t + 1]) +
-                        std::abs(ws.llr[kConvRateInv * t + 2]);
-  }
-
-  // Viterbi: maximize correlation between the path's coded bits and llr.
-  constexpr std::int32_t kNegInf = std::numeric_limits<std::int32_t>::min() / 4;
-  ws.metric.assign(kNumStates, kNegInf);
-  ws.metric[0] = 0;  // encoder starts zeroed
-  ws.next_metric.assign(kNumStates, kNegInf);
-  ws.survivor.resize(steps * kNumStates);
-  ws.prev_state.resize(steps * kNumStates);
-
-  std::int32_t best = 0;  // max over ws.metric (only state 0 is live)
-  for (std::size_t t = 0; t < steps; ++t) {
-    std::fill(ws.next_metric.begin(), ws.next_metric.end(), kNegInf);
-    const std::int32_t v0 = ws.llr[kConvRateInv * t];
-    const std::int32_t v1 = ws.llr[kConvRateInv * t + 1];
-    const std::int32_t v2 = ws.llr[kConvRateInv * t + 2];
-    // gains[p] = branch gain when the branch outputs bit pattern p.
-    std::int32_t gains[8];
-    for (int p = 0; p < 8; ++p) {
-      gains[p] = ((p & 1) != 0 ? v0 : -v0) + ((p & 2) != 0 ? v1 : -v1) +
-                 ((p & 4) != 0 ? v2 : -v2);
-    }
-    // Exact-safe pruning: any continuation of state s gains at most
-    // suffix_gain[t]; the leader's zero-tail continuation to state 0 (which
-    // always exists) gains at least -suffix_gain[t]. A state strictly below
-    // best - 2*suffix_gain[t] therefore cannot reach state 0 with the
-    // winning metric — dropping it cannot change the traceback. (Ties are
-    // kept, so tie-breaking matches the reference decoder bit-for-bit.)
-    const std::int32_t prune_below = best - 2 * ws.suffix_gain[t];
-    const int max_input = t < payload_bits ? 1 : 0;  // tail forces zeros
-    std::uint8_t* surv = ws.survivor.data() + t * kNumStates;
-    std::uint8_t* prev = ws.prev_state.data() + t * kNumStates;
-    std::int32_t next_best = kNegInf;
-    for (int s = 0; s < kNumStates; ++s) {
-      const std::int32_t m = ws.metric[static_cast<std::size_t>(s)];
-      if (m == kNegInf || m < prune_below) continue;
-      for (int u = 0; u <= max_input; ++u) {
-        const std::uint32_t reg = make_reg(u, static_cast<std::uint32_t>(s));
-        const auto ns = static_cast<std::size_t>(reg >> 1);
-        const std::int32_t cand = m + gains[kBranchOut[reg]];
-        if (cand > ws.next_metric[ns]) {
-          ws.next_metric[ns] = cand;
-          surv[ns] = static_cast<std::uint8_t>(u);
-          prev[ns] = static_cast<std::uint8_t>(s);
-          if (cand > next_best) next_best = cand;
-        }
-      }
-    }
-    ws.metric.swap(ws.next_metric);
-    best = next_best;
-  }
-
-  // The zero tail drives the encoder back to state 0: trace from there.
-  util::BitVec decoded(payload_bits);
-  std::size_t state = 0;
-  for (std::size_t t = steps; t-- > 0;) {
-    const std::size_t row = t * kNumStates;
-    if (t < payload_bits) {
-      decoded.set_bit(t, ws.survivor[row + state] != 0);
-    }
-    state = ws.prev_state[row + state];
-  }
-  return decoded;
-}
-
-util::BitVec conv_decode_reference(const util::BitVec& received,
-                                   std::size_t payload_bits) {
-  const std::size_t steps = payload_bits + kConvTailBits;
-  const std::size_t coded_bits = kConvRateInv * steps;
-
-  std::vector<int> llr(coded_bits, 0);
-  {
-    const auto counts = rate_match_counts(coded_bits, received.size());
-    std::size_t j = 0;
-    for (std::size_t i = 0; i < coded_bits; ++i) {
-      for (int c = 0; c < counts[i]; ++c) {
-        llr[i] += received.bit(j++) ? 1 : -1;
-      }
-    }
-  }
-
-  constexpr std::int32_t kNegInf = std::numeric_limits<std::int32_t>::min() / 4;
-  std::vector<std::int32_t> metric(kNumStates, kNegInf);
-  metric[0] = 0;
-  std::vector<std::int32_t> next_metric(kNumStates);
-  std::vector<std::array<std::uint8_t, kNumStates>> survivor(steps);
-  std::vector<std::array<std::uint8_t, kNumStates>> prev_state(steps);
-
-  for (std::size_t t = 0; t < steps; ++t) {
-    std::fill(next_metric.begin(), next_metric.end(), kNegInf);
-    const int max_input = t < payload_bits ? 1 : 0;
-    for (int s = 0; s < kNumStates; ++s) {
-      if (metric[static_cast<std::size_t>(s)] == kNegInf) continue;
-      for (int u = 0; u <= max_input; ++u) {
-        const std::uint32_t reg = make_reg(u, static_cast<std::uint32_t>(s));
-        std::int32_t gain = 0;
-        for (std::size_t k = 0; k < kGenerators.size(); ++k) {
-          const int v = llr[kConvRateInv * t + k];
-          gain += parity(reg & kGenerators[k]) ? v : -v;
-        }
-        const auto ns = static_cast<std::size_t>(reg >> 1);
-        const std::int32_t cand = metric[static_cast<std::size_t>(s)] + gain;
-        if (cand > next_metric[ns]) {
-          next_metric[ns] = cand;
-          survivor[t][ns] = static_cast<std::uint8_t>(u);
-          prev_state[t][ns] = static_cast<std::uint8_t>(s);
-        }
-      }
-    }
-    metric.swap(next_metric);
-  }
-
-  util::BitVec decoded(payload_bits);
-  std::size_t state = 0;
-  for (std::size_t t = steps; t-- > 0;) {
-    if (t < payload_bits) decoded.set_bit(t, survivor[t][state] != 0);
-    state = prev_state[t][state];
-  }
-  return decoded;
-}
-
-void conv_decode_batch(const BatchDecodeJob* jobs, int n_jobs,
-                       std::size_t payload_bits, BatchDecodeResult* results) {
-  PBECC_PROF_SCOPE("viterbi_batch");
-  if (n_jobs <= 0) return;
-  const auto L = static_cast<std::size_t>(
-      n_jobs <= kMaxDecodeLanes ? n_jobs : kMaxDecodeLanes);
+// The lockstep trellis for exactly L lanes. L is a compile-time constant
+// so every lane loop below has a fixed trip count: the compiler unrolls
+// the one-lane case into plain scalar code and maps eight lanes of int32
+// onto whole vector registers, with no remainder handling in either.
+template <std::size_t L>
+void decode_lanes_fixed(const BatchDecodeJob* jobs, std::size_t payload_bits,
+                        BatchDecodeResult* results) {
   const std::size_t steps = payload_bits + kConvTailBits;
   const std::size_t coded_bits = kConvRateInv * steps;
   const std::size_t target = jobs[0].received->size();
@@ -341,9 +166,9 @@ void conv_decode_batch(const BatchDecodeJob* jobs, int n_jobs,
     }
   }
 
-  // suffix_gain[t][l]: the most any path can still gain from step t on —
-  // the same exact bound the scalar decoder prunes with, here driving the
-  // per-lane early abort.
+  // suffix_gain[t][l]: the most any path can still gain from step t on
+  // (each step contributes at most |v0|+|v1|+|v2|) — the exact bound that
+  // drives the per-lane early abort.
   std::int32_t* suffix = ws.arena.alloc<std::int32_t>((steps + 1) * L);
   std::fill_n(suffix + steps * L, L, 0);
   for (std::size_t t = steps; t-- > 0;) {
@@ -365,7 +190,7 @@ void conv_decode_batch(const BatchDecodeJob* jobs, int n_jobs,
   // predecessors won.
   std::uint8_t* take = ws.arena.alloc<std::uint8_t>(steps * kNumStates * L);
 
-  bool aborted[kMaxDecodeLanes] = {};
+  bool aborted[L] = {};
   bool any_abort_enabled = false;
   for (std::size_t l = 0; l < L; ++l) {
     if (jobs[l].abort_below != INT32_MIN) any_abort_enabled = true;
@@ -374,7 +199,7 @@ void conv_decode_batch(const BatchDecodeJob* jobs, int n_jobs,
 
   for (std::size_t t = 0; t < steps; ++t) {
     // Branch gain per 3-bit output pattern, per lane.
-    std::int32_t gains[8 * kMaxDecodeLanes];
+    std::int32_t gains[8 * L];
     const std::int32_t* v = llr + kConvRateInv * t * L;
     for (int p = 0; p < 8; ++p) {
       std::int32_t* g = gains + static_cast<std::size_t>(p) * L;
@@ -427,7 +252,7 @@ void conv_decode_batch(const BatchDecodeJob* jobs, int n_jobs,
     // every 8th step: a doomed lane survives at most 7 extra steps, which
     // is far cheaper than paying the reduction at every one.
     if (any_abort_enabled && (t & 7) == 7) {
-      std::int32_t best[kMaxDecodeLanes];
+      std::int32_t best[L];
       std::fill_n(best, L, kNegInf);
       for (int s = 0; s < kNumStates; ++s) {
         const std::int32_t* m = metric + static_cast<std::size_t>(s) * L;
@@ -466,6 +291,40 @@ void conv_decode_batch(const BatchDecodeJob* jobs, int n_jobs,
     }
     r.decoded = std::move(out);
   }
+}
+
+using LaneKernel = void (*)(const BatchDecodeJob*, std::size_t,
+                            BatchDecodeResult*);
+
+template <std::size_t... I>
+constexpr std::array<LaneKernel, sizeof...(I)> make_lane_kernels(
+    std::index_sequence<I...>) {
+  return {&decode_lanes_fixed<I + 1>...};
+}
+
+// kLaneKernels[n - 1] decodes an n-lane batch.
+constexpr auto kLaneKernels =
+    make_lane_kernels(std::make_index_sequence<kMaxDecodeLanes>{});
+
+}  // namespace
+
+void conv_decode_batch(const BatchDecodeJob* jobs, int n_jobs,
+                       std::size_t payload_bits, BatchDecodeResult* results) {
+  PBECC_PROF_SCOPE("viterbi_batch");
+  if (n_jobs <= 0) return;
+  if (n_jobs > kMaxDecodeLanes) {
+    throw std::invalid_argument("conv_decode_batch: more than " +
+                                std::to_string(kMaxDecodeLanes) + " lanes");
+  }
+  const std::size_t target = jobs[0].received->size();
+  for (int l = 1; l < n_jobs; ++l) {
+    if (jobs[l].received->size() != target) {
+      throw std::invalid_argument(
+          "conv_decode_batch: lane block sizes differ");
+    }
+  }
+  kLaneKernels[static_cast<std::size_t>(n_jobs - 1)](jobs, payload_bits,
+                                                     results);
 }
 
 }  // namespace pbecc::phy

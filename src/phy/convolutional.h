@@ -36,35 +36,23 @@ util::BitVec rate_match(const util::BitVec& coded, std::size_t target_bits);
 std::vector<int> rate_match_counts(std::size_t coded_bits,
                                    std::size_t target_bits);
 
-// Viterbi-decode `received` (a rate-matched block of `target_bits` bits)
-// back to `payload_bits` information bits. Punctured positions contribute
-// no branch metric; repeated positions vote. Always returns a best-effort
-// decision — callers validate with the CRC.
-//
-// This is the optimized hot path (flattened branch-metric tables, per-step
-// gain lookup, exact-safe path pruning, thread-local scratch reuse); it is
-// bit-exact with conv_decode_reference on every input.
-util::BitVec conv_decode(const util::BitVec& received,
-                         std::size_t payload_bits);
-
-// Straightforward textbook implementation kept as the oracle for the
-// equivalence tests in tests/convolutional_test.cpp. Not for hot paths:
-// it allocates its trellis per call.
-util::BitVec conv_decode_reference(const util::BitVec& received,
-                                   std::size_t payload_bits);
-
 // ---------------------------------------------------------------------------
-// Batched lockstep decode (DESIGN.md §14).
+// Viterbi decode, batched in lockstep (DESIGN.md §14).
 //
-// The blind decoder tries the same (payload length, block length) shape at
-// every candidate position of an aggregation level; conv_decode_batch
-// decodes up to kMaxDecodeLanes such same-shape blocks through one trellis
-// walk with lane-major (structure-of-arrays) path metrics, so the
-// add-compare-select inner loops vectorize across candidates. Non-aborted
-// lanes are byte-exact with conv_decode_reference — the decoder's
-// determinism contract does not bend for speed.
+// Hard-decision Viterbi that treats punctured positions as erasures and
+// lets repeated positions vote. The blind decoder tries the same (payload
+// length, block length) shape at every candidate position of an
+// aggregation level; conv_decode_batch decodes up to kMaxDecodeLanes such
+// same-shape blocks through one trellis walk with lane-major
+// (structure-of-arrays) path metrics, so the add-compare-select inner
+// loops vectorize across candidates. A single block is a one-lane batch.
+// Non-aborted lanes are byte-exact with the textbook Viterbi oracle in
+// tests/reference_decoders.h — the decoder's determinism contract does not
+// bend for speed.
 
-inline constexpr int kMaxDecodeLanes = 16;
+// Block width, fixed at compile time: the blind decoder packs memo-miss
+// candidates into blocks of exactly this many lanes.
+inline constexpr int kMaxDecodeLanes = 8;
 
 struct BatchDecodeJob {
   const util::BitVec* received = nullptr;  // same size() for every lane
@@ -95,8 +83,11 @@ struct BatchDecodeResult {
 
 // Decode `n_jobs` (1..kMaxDecodeLanes) equally-shaped blocks in lockstep.
 // Every jobs[i].received must have the same size, every lane decodes to
-// `payload_bits` information bits. Scratch comes from a per-thread arena:
-// steady state performs no heap allocation.
+// `payload_bits` information bits; a decode is a best-effort decision that
+// callers validate with the CRC. Throws std::invalid_argument when n_jobs
+// exceeds kMaxDecodeLanes or a lane's block size differs from jobs[0]'s.
+// Scratch comes from a per-thread arena: steady state performs no heap
+// allocation.
 void conv_decode_batch(const BatchDecodeJob* jobs, int n_jobs,
                        std::size_t payload_bits, BatchDecodeResult* results);
 

@@ -3,20 +3,34 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "decoder/blind_decoder.h"
+#include "nr/polar.h"
 #include "phy/convolutional.h"
 #include "phy/pdcch.h"
+#include "reference_decoders.h"
 #include "util/rng.h"
 
 namespace pbecc::phy {
 namespace {
 
+using ref::conv_decode_reference;
+
 util::BitVec random_payload(util::Rng& rng, std::size_t n) {
   util::BitVec b;
   for (std::size_t i = 0; i < n; ++i) b.push_bit(rng.bernoulli(0.5));
   return b;
+}
+
+// One block through the production decoder: a one-lane batch, no abort.
+util::BitVec decode_one(const util::BitVec& block, std::size_t payload_bits) {
+  BatchDecodeJob job;
+  job.received = &block;
+  BatchDecodeResult res;
+  conv_decode_batch(&job, 1, payload_bits, &res);
+  return res.decoded;
 }
 
 TEST(Convolutional, EncodeLength) {
@@ -30,7 +44,7 @@ TEST(Convolutional, CleanRoundtrip) {
   for (int trial = 0; trial < 50; ++trial) {
     const auto payload = random_payload(rng, 20 + trial % 60);
     const auto coded = conv_encode(payload);
-    EXPECT_EQ(conv_decode(coded, payload.size()), payload) << trial;
+    EXPECT_EQ(decode_one(coded, payload.size()), payload) << trial;
   }
 }
 
@@ -41,7 +55,7 @@ TEST(Convolutional, RateMatchRepetitionRoundtrip) {
   // Expand to 2x: every mother bit appears twice.
   const auto block = rate_match(coded, 2 * coded.size());
   EXPECT_EQ(block.size(), 2 * coded.size());
-  EXPECT_EQ(conv_decode(block, payload.size()), payload);
+  EXPECT_EQ(decode_one(block, payload.size()), payload);
 }
 
 TEST(Convolutional, PuncturedRoundtrip) {
@@ -50,7 +64,7 @@ TEST(Convolutional, PuncturedRoundtrip) {
   const auto coded = conv_encode(payload);
   // Keep only ~57%: still decodes cleanly (effective rate ~0.58).
   const auto block = rate_match(coded, 144);
-  EXPECT_EQ(conv_decode(block, payload.size()), payload);
+  EXPECT_EQ(decode_one(block, payload.size()), payload);
 }
 
 TEST(Convolutional, RateMatchCountsConserve) {
@@ -77,7 +91,7 @@ TEST(Convolutional, CorrectsBitErrors) {
     for (std::size_t i = 0; i < noisy.size(); ++i) {
       if (rng.bernoulli(0.04)) noisy.flip_bit(i);
     }
-    corrected += conv_decode(noisy, payload.size()) == payload ? 1 : 0;
+    corrected += decode_one(noisy, payload.size()) == payload ? 1 : 0;
   }
   // 4% BER over 288 bits = ~11 flipped; the code recovers almost always.
   EXPECT_GT(corrected, trials * 8 / 10);
@@ -115,12 +129,13 @@ TEST(Convolutional, BeatsRepetitionAtSameRedundancy) {
   EXPECT_GT(conv_ok, trials * 3 / 4);
 }
 
-// The pruned/table-driven conv_decode must be bit-exact against the
-// straightforward reference implementation — not merely "usually right":
+// A one-lane decode (the shape of every single-block decode) must be
+// bit-exact against the textbook reference — not merely "usually right":
 // the decoder's metrics and the determinism suite depend on identical
 // outputs. 10k random codewords across clean, light and heavy noise,
-// cycling payload lengths and rate-match targets (repetition, exact,
-// puncturing, truncation-with-erasures).
+// cycling payload lengths over the whole DCI range (20..80 bits) and
+// rate-match targets (repetition, exact, puncturing,
+// truncation-with-erasures).
 TEST(Convolutional, OptimizedMatchesReference10k) {
   util::Rng rng{23};
   const double bers[] = {0.0, 1e-3, 1e-2};
@@ -134,7 +149,7 @@ TEST(Convolutional, OptimizedMatchesReference10k) {
         if (rng.bernoulli(ber)) block.flip_bit(i);
       }
     }
-    const auto fast = conv_decode(block, payload.size());
+    const auto fast = decode_one(block, payload.size());
     const auto ref = conv_decode_reference(block, payload.size());
     ASSERT_EQ(fast, ref) << "trial " << trial << " ber " << ber << " len "
                          << payload.size() << " target "
@@ -144,16 +159,16 @@ TEST(Convolutional, OptimizedMatchesReference10k) {
 
 // Lockstep batch equivalence sweep (DESIGN.md §14): ~10k codewords per
 // lane count, every lane byte-identical to the reference decoder, at
-// clean / light / heavy bit-error rates and every rate-match shape. 2503
-// codewords per lane count leaves a partial tail batch at L in {4, 8, 16}
-// (2503 = 4*625+3 = 8*312+7 = 16*156+7), so short final blocks are
+// clean / light / heavy bit-error rates and every rate-match shape. 3335
+// codewords per lane count (10005 in all) leaves a partial tail batch at
+// L in {4, 8} (3335 = 4*833+3 = 8*416+7), so short final blocks are
 // exercised, not just full ones.
 TEST(Convolutional, BatchMatchesReference10k) {
   util::Rng rng{29};
   const double bers[] = {0.0, 1e-3, 1e-2};
   const std::size_t targets[] = {72, 144, 288, 576};
-  for (const int lanes : {1, 4, 8, 16}) {
-    const int codewords = 2503;
+  for (const int lanes : {1, 4, kMaxDecodeLanes}) {
+    const int codewords = 3335;
     int done = 0, shape = 0;
     while (done < codewords) {
       const int n = std::min(lanes, codewords - done);
@@ -256,6 +271,53 @@ TEST(Convolutional, BatchEarlyAbortIsExactSafe) {
   // Random noise correlates ~50% with any codeword: essentially every
   // junk block must have tripped the abort.
   EXPECT_GT(aborted, 290);
+}
+
+// Input contract: more lanes than the block width, or lanes of different
+// block sizes, are caller bugs. Decoding a prefix of the lanes (leaving
+// the rest of `results` unwritten) or reading one lane's block past its
+// end would turn them into silent wrong answers, so both throw — through
+// the polar seam too.
+TEST(Convolutional, BatchRejectsMoreLanesThanTheBlockWidth) {
+  util::Rng rng{41};
+  const std::size_t payload_bits = 30;
+  const auto block = rate_match(conv_encode(random_payload(rng, payload_bits)),
+                                288);
+  std::vector<BatchDecodeJob> jobs(kMaxDecodeLanes + 1);
+  for (auto& j : jobs) j.received = &block;
+  std::vector<BatchDecodeResult> res(jobs.size());
+  const int n = static_cast<int>(jobs.size());
+  EXPECT_THROW(conv_decode_batch(jobs.data(), n, payload_bits, res.data()),
+               std::invalid_argument);
+  EXPECT_THROW(nr::polar_decode_batch(jobs.data(), n, payload_bits, res.data()),
+               std::invalid_argument);
+  // The full width itself is fine.
+  conv_decode_batch(jobs.data(), kMaxDecodeLanes, payload_bits, res.data());
+  for (int k = 0; k < kMaxDecodeLanes; ++k) {
+    EXPECT_EQ(res[static_cast<std::size_t>(k)].decoded,
+              conv_decode_reference(block, payload_bits));
+  }
+}
+
+TEST(Convolutional, BatchRejectsMismatchedLaneSizes) {
+  util::Rng rng{43};
+  const std::size_t payload_bits = 30;
+  const auto payload = random_payload(rng, payload_bits);
+  const auto wide = rate_match(conv_encode(payload), 288);
+  const auto narrow = rate_match(conv_encode(payload), 144);
+  std::vector<std::int32_t> narrow_prefix(narrow.size() + 1, 0);
+  for (std::size_t b = 0; b < narrow.size(); ++b) {
+    narrow_prefix[b + 1] = narrow_prefix[b] + (narrow.bit(b) ? 1 : -1);
+  }
+  BatchDecodeJob jobs[2];
+  jobs[0].received = &wide;
+  jobs[1].received = &narrow;
+  jobs[1].prefix = narrow_prefix.data();
+  BatchDecodeResult res[2];
+  EXPECT_THROW(conv_decode_batch(jobs, 2, payload_bits, res),
+               std::invalid_argument);
+  EXPECT_THROW(nr::polar_decode_batch(jobs, 2, payload_bits, res),
+               std::invalid_argument);
 }
 
 TEST(ConvolutionalPdcch, BlindDecodeAllFormats) {

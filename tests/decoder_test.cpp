@@ -10,6 +10,7 @@
 #include "nr/polar.h"
 #include "phy/convolutional.h"
 #include "phy/pdcch.h"
+#include "reference_decoders.h"
 #include "util/rng.h"
 
 namespace pbecc::decoder {
@@ -269,6 +270,109 @@ TEST(BlindDecoder, WordWiseVoteAndAgreementMatchPerBitReference) {
   // Both outcomes are exercised.
   EXPECT_GT(agreed, 1000);
   EXPECT_GT(rejected, 1000);
+}
+
+// The lockstep decoder against the per-candidate reference search
+// (tests/reference_decoders.h): same found list (DCI, AL, order), same
+// candidates_tried / crc_failures, same per-AL counts — on random
+// builder subframes for each codec (LTE repetition, LTE convolutional, NR
+// polar at µ=1) at three bit-error rates. Each subframe is decoded twice
+// by the same decoder, so the second pass replays every outcome and
+// counter from the span memo and must match the reference too. Extra
+// energized CCEs carrying random bits stand in for interference, so
+// CRC failures, screen rejects and early aborts all occur.
+TEST(BlindDecoderOracle, LockstepMatchesReferenceSearch) {
+  phy::CellConfig rep_cell{1, 20.0};
+  phy::CellConfig conv_cell{2, 10.0};
+  conv_cell.pdcch_coding = phy::PdcchCoding::kConvolutional;
+  phy::CellConfig nr_cell{3, 20.0};
+  nr_cell.rat = phy::Rat::kNr;
+  nr_cell.scs = nr::Scs::k30kHz;
+  nr_cell.coreset.rbs = 48;
+  nr_cell.coreset.symbols = 2;
+  nr_cell.pdcch_coding = phy::PdcchCoding::kPolar;
+
+  util::Rng rng{1313};
+  for (const phy::CellConfig& cell : {rep_cell, conv_cell, nr_cell}) {
+    const bool is_nr = cell.rat == phy::Rat::kNr;
+    std::vector<phy::DciFormat> formats;
+    if (is_nr) {
+      formats.assign(std::begin(phy::kNrDciFormats), std::end(phy::kNrDciFormats));
+    } else {
+      formats.assign(std::begin(phy::kLteDciFormats), std::end(phy::kLteDciFormats));
+    }
+    std::uint64_t found = 0, failures = 0, memo_hits = 0, screened = 0,
+                  aborted = 0;
+    for (const double ber : {0.0, 1e-2, 4e-2}) {
+      BlindDecoder dec{cell};
+      for (int t = 0; t < 40; ++t) {
+        phy::PdcchBuilder b(cell, t);
+        const int n_msgs = static_cast<int>(rng.uniform_int(0, 6));
+        for (int m = 0; m < n_msgs; ++m) {
+          const auto fmt = formats[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(formats.size()) - 1))];
+          const int n_prbs = static_cast<int>(rng.uniform_int(1, cell.n_prbs() / 2));
+          const int start = static_cast<int>(rng.uniform_int(0, cell.n_prbs() - n_prbs));
+          auto d = make_dci(static_cast<phy::Rnti>(rng.uniform_int(0x100, 0x400)),
+                            n_prbs, start, fmt,
+                            static_cast<int>(rng.uniform_int(1, 15)));
+          const int al = 1 << rng.uniform_int(0, is_nr ? 4 : 3);
+          b.add_escalating(d, al);
+        }
+        auto sf = std::move(b).build();
+        for (std::size_t c = 0; c < sf.cce_used.size(); ++c) {
+          if (sf.cce_used[c] || rng.uniform() >= 0.15) continue;
+          sf.cce_used[c] = true;  // interference: energy, random bits
+          for (std::size_t i = 0; i < phy::kBitsPerCce; ++i) {
+            sf.bits.set_bit(c * phy::kBitsPerCce + i, (rng.next_u64() & 1) != 0);
+          }
+        }
+        phy::apply_bit_noise(sf, ber, rng);
+
+        const ref::SearchResult want = ref::reference_blind_search(cell, sf);
+        for (int pass = 0; pass < 2; ++pass) {
+          SCOPED_TRACE(testing::Message()
+                       << "coding " << static_cast<int>(cell.pdcch_coding)
+                       << " ber " << ber << " sf " << t << " pass " << pass);
+          const DecodeRun run = dec.decode_compute(sf);
+          ASSERT_EQ(run.found.size(), want.found.size());
+          for (std::size_t i = 0; i < want.found.size(); ++i) {
+            EXPECT_EQ(run.found[i].dci, want.found[i].dci) << i;
+            EXPECT_EQ(run.found[i].al, want.found[i].al) << i;
+          }
+          EXPECT_EQ(run.delta.candidates_tried, want.candidates_tried);
+          EXPECT_EQ(run.delta.crc_failures, want.crc_failures);
+          EXPECT_EQ(run.delta.messages_decoded, want.found.size());
+          EXPECT_EQ(run.delta.candidates_by_al, want.candidates_by_al);
+          EXPECT_EQ(run.delta.crc_failures_by_al, want.crc_failures_by_al);
+          EXPECT_EQ(run.delta.decoded_by_al, want.decoded_by_al);
+          if (pass == 1) {
+            memo_hits += run.delta.memo_hits;
+          } else {
+            found += run.found.size();
+            failures += run.delta.crc_failures;
+            screened += run.delta.screen_rejects;
+            aborted += run.delta.early_aborts;
+          }
+          dec.decode_apply(run);
+        }
+      }
+    }
+    // Every path the comparison is meant to cover actually ran.
+    SCOPED_TRACE(testing::Message()
+                 << "coding " << static_cast<int>(cell.pdcch_coding));
+    EXPECT_GT(found, 100u);
+    EXPECT_GT(failures, 100u);
+    EXPECT_GT(memo_hits, 100u);
+    // Repetition cells reach the CRC-first screen on every attempt (few
+    // fail it: the RNTI range is wide); trellis cells mostly stop earlier,
+    // at the early abort or the metric floor.
+    if (cell.pdcch_coding == phy::PdcchCoding::kRepetition) {
+      EXPECT_GT(screened, 0u);
+    } else {
+      EXPECT_GT(aborted, 100u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------- fusion

@@ -15,7 +15,6 @@
 #include "cap/taps.h"
 #include "cap/trace_reader.h"
 #include "cap/trace_writer.h"
-#include "decoder/blind_decoder.h"
 #include "fault/fault.h"
 #include "obs/obs.h"
 #include "par/thread_pool.h"
@@ -194,44 +193,6 @@ TEST(DeterminismConvolutional, SerialAndParallelAreByteIdentical) {
   EXPECT_EQ(serial.tput, parallel.tput);
   EXPECT_EQ(serial.attempts, parallel.attempts);
   EXPECT_EQ(serial.trace_digest, parallel.trace_digest);
-}
-
-// Lockstep-lane determinism (DESIGN.md §14): the scalar per-candidate
-// path (lanes=1) and the SIMD batch path must produce byte-identical
-// FlowStats and trace digests at every lane width and thread count — on
-// the Viterbi pipeline AND the repetition-coded one (whose batch path
-// adds the CRC-first screen).
-TEST(DeterminismLanes, ScalarAndLockstepAreByteIdentical) {
-  struct LaneGuard {
-    ~LaneGuard() {
-      decoder::set_decode_lanes(8);
-      par::set_default_threads(1);
-    }
-  } guard;
-
-  decoder::set_decode_lanes(1);
-  const auto conv_scalar = run_conv_once(1);
-  const auto rep_scalar = run_once("none", 21, 1);
-  EXPECT_GT(conv_scalar.attempts, 0u);
-  EXPECT_GT(rep_scalar.attempts, 0u);
-
-  for (const int lanes : {8, 16}) {
-    for (const int threads : {1, 8}) {
-      decoder::set_decode_lanes(lanes);
-      const auto conv = run_conv_once(threads);
-      EXPECT_TRUE(conv_scalar == conv)
-          << "conv pipeline diverged at lanes=" << lanes
-          << " threads=" << threads;
-      EXPECT_EQ(conv_scalar.trace_digest, conv.trace_digest)
-          << "lanes=" << lanes << " threads=" << threads;
-      const auto rep = run_once("none", 21, threads);
-      EXPECT_TRUE(rep_scalar == rep)
-          << "repetition pipeline diverged at lanes=" << lanes
-          << " threads=" << threads;
-      EXPECT_EQ(rep_scalar.trace_digest, rep.trace_digest)
-          << "lanes=" << lanes << " threads=" << threads;
-    }
-  }
 }
 
 // --- shard lanes (DESIGN.md §15) -----------------------------------------

@@ -144,9 +144,12 @@ TEST(PolarSeam, EncodeMatchesConvolutionalStandIn) {
     const std::size_t target = 2 * mother.size();
     EXPECT_EQ(nr::polar_rate_match(mother, target),
               phy::rate_match(mother, target));
-    const auto decoded = nr::polar_decode(
-        nr::polar_rate_match(mother, target), payload.size());
-    EXPECT_EQ(decoded, payload);
+    const auto block = nr::polar_rate_match(mother, target);
+    phy::BatchDecodeJob job;
+    job.received = &block;
+    phy::BatchDecodeResult decoded;
+    nr::polar_decode_batch(&job, 1, payload.size(), &decoded);
+    EXPECT_EQ(decoded.decoded, payload);
   }
 }
 

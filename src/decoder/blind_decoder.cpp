@@ -242,12 +242,14 @@ std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
           ++r.failures;
           continue;
         }
-        if (!phy::dci_crc_screen(d.decoded, format)) {
+        const auto rnti = phy::dci_crc_rnti(d.decoded, format);
+        if (!rnti.has_value()) {
           ++r.failures;
           ++r.screen_rejects;
           continue;
         }
-        auto dci = phy::decode_dci(d.decoded, format, cell_.n_prbs());
+        auto dci = phy::parse_dci_fields(d.decoded, format, *rnti,
+                                         cell_.n_prbs());
         if (!dci.has_value()) {
           ++r.failures;
           continue;
@@ -257,8 +259,8 @@ std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
       }
     }
   } else {
-    // Repetition cells: per-candidate majority vote with the CRC-first
-    // screen ahead of the field parse.
+    // Repetition cells: per-candidate majority vote, then the CRC step,
+    // whose RNTI the field parse takes over.
     for (std::size_t m = 0; m < n_miss; ++m) {
       const std::size_t i = miss[m];
       CandidateResult& r = out[i];
@@ -268,12 +270,13 @@ std::uint64_t BlindDecoder::decode_block(const phy::PdcchSubframe& sf, int al,
         if (phy::repetitions_that_fit(msg_bits, al) == 0) continue;
         ++r.attempts;
         const util::BitVec bits = majority_decode(sf, starts[i], al, msg_bits);
-        if (!phy::dci_crc_screen(bits, format)) {
+        const auto rnti = phy::dci_crc_rnti(bits, format);
+        if (!rnti.has_value()) {
           ++r.failures;
           ++r.screen_rejects;
           continue;
         }
-        auto dci = phy::decode_dci(bits, format, cell_.n_prbs());
+        auto dci = phy::parse_dci_fields(bits, format, *rnti, cell_.n_prbs());
         if (!dci.has_value()) {
           ++r.failures;
           continue;

@@ -67,7 +67,8 @@ struct DecodeStats {
   // Lockstep-path diagnostics (none of them feed the determinism digests):
   // lockstep Viterbi batches run, candidate-format attempts retired early
   // because no surviving path could reach the acceptance metric, and
-  // attempts rejected by the CRC-first screen before any field parse.
+  // attempts whose CRC residue fell outside the C-RNTI window
+  // (phy::dci_crc_rnti), rejected before any field parse.
   std::uint64_t lane_batches = 0;
   std::uint64_t early_aborts = 0;
   std::uint64_t screen_rejects = 0;
@@ -76,6 +77,8 @@ struct DecodeStats {
   std::array<std::uint64_t, kNumAlLanes> candidates_by_al{};
   std::array<std::uint64_t, kNumAlLanes> crc_failures_by_al{};
   std::array<std::uint64_t, kNumAlLanes> decoded_by_al{};
+
+  bool operator==(const DecodeStats&) const = default;
 };
 
 // Everything decode_compute() learned from one subframe, pending apply.

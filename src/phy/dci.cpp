@@ -79,26 +79,29 @@ util::BitVec encode_dci(const Dci& d) {
   return bits;
 }
 
-bool dci_crc_screen(const util::BitVec& bits, DciFormat format) {
+std::optional<Dci> decode_dci(const util::BitVec& bits, DciFormat format,
+                              int n_cell_prbs) {
+  const auto rnti = dci_crc_rnti(bits, format);
+  if (!rnti.has_value()) return std::nullopt;
+  return parse_dci_fields(bits, format, *rnti, n_cell_prbs);
+}
+
+std::optional<Rnti> dci_crc_rnti(const util::BitVec& bits, DciFormat format) {
   const auto payload_len = static_cast<std::size_t>(dci_payload_bits(format));
-  if (bits.size() != payload_len + 16) return false;
+  if (bits.size() != payload_len + 16) return std::nullopt;
+  // The payload is bits [0, payload_len): checksum it in place.
   const auto rx_crc =
       static_cast<std::uint16_t>(bits.read_uint(payload_len, 16));
   const auto rnti =
       static_cast<Rnti>(util::crc16_range(bits, 0, payload_len) ^ rx_crc);
-  return rnti >= kMinCRnti && rnti <= kMaxCRnti;
+  if (rnti < kMinCRnti || rnti > kMaxCRnti) return std::nullopt;
+  return rnti;
 }
 
-std::optional<Dci> decode_dci(const util::BitVec& bits, DciFormat format,
-                              int n_cell_prbs) {
+std::optional<Dci> parse_dci_fields(const util::BitVec& bits, DciFormat format,
+                                    Rnti rnti, int n_cell_prbs) {
   const auto payload_len = static_cast<std::size_t>(dci_payload_bits(format));
   if (bits.size() != payload_len + 16) return std::nullopt;
-
-  // The payload is bits [0, payload_len): checksum and parse it in place.
-  const auto rx_crc = static_cast<std::uint16_t>(bits.read_uint(payload_len, 16));
-  const auto rnti =
-      static_cast<Rnti>(util::crc16_range(bits, 0, payload_len) ^ rx_crc);
-  if (rnti < kMinCRnti || rnti > kMaxCRnti) return std::nullopt;
 
   Dci d;
   d.rnti = rnti;

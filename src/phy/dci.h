@@ -95,15 +95,22 @@ util::BitVec encode_dci(const Dci& d);
 // RNTI recovered from the CRC mask; returns nullopt if the CRC residue is
 // not a plausible C-RNTI or fields are out of range. The caller layers
 // further RNTI plausibility filtering on top (see decoder::RntiTracker).
+// Exactly dci_crc_rnti() followed by parse_dci_fields().
 std::optional<Dci> decode_dci(const util::BitVec& bits, DciFormat format,
                               int n_cell_prbs);
 
-// CRC-first cheap screen: evaluates exactly the length and CRC-residue
-// plausibility checks decode_dci() applies first, without building the
-// payload copy or parsing any field. Returns false only when decode_dci()
-// is guaranteed to return nullopt, so callers may skip it entirely —
-// stat-for-stat identical, an order of magnitude cheaper on the (typical)
-// garbage candidate. Used by the batched blind-decode path (DESIGN.md §14).
-bool dci_crc_screen(const util::BitVec& bits, DciFormat format);
+// decode_dci()'s first step, the one CRC16 of an attempt: the RNTI the
+// received CRC is masked with, or nullopt if `bits` is not the length of a
+// `format` message or the residue lies outside the C-RNTI window (the
+// blind decoder counts those attempts as screen rejects). No field is
+// parsed, so a garbage candidate costs one checksum.
+std::optional<Rnti> dci_crc_rnti(const util::BitVec& bits, DciFormat format);
+
+// decode_dci()'s second step: parse the fields of a message whose CRC
+// already yielded `rnti` (from dci_crc_rnti on the same bits), without
+// checksumming again. Returns nullopt on a format-tag mismatch, non-zero
+// padding, out-of-range fields or a wrong length.
+std::optional<Dci> parse_dci_fields(const util::BitVec& bits, DciFormat format,
+                                    Rnti rnti, int n_cell_prbs);
 
 }  // namespace pbecc::phy

@@ -115,25 +115,51 @@ bool PdcchBuilder::add_escalating(const Dci& dci, int aggregation_level) {
 PdcchSubframe PdcchBuilder::build() && { return std::move(sf_); }
 
 void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng) {
+  static_assert(util::Rng::kJumpUnit ==
+                    static_cast<std::uint64_t>(kBitsPerCce),
+                "silent runs jump whole CCEs");
+  if (sf.cce_used.size() * kBitsPerCce != sf.bits.size()) {
+    throw std::invalid_argument(
+        "apply_bit_noise: energy map does not cover the control region");
+  }
   if (ber <= 0.0) return;
   // rng.bernoulli(ber) is `(x >> 11) * 2^-53 < ber`. Scaling by 2^53 is
   // exact, so for the 53-bit integer k = x >> 11 that test is exactly
   // k < ceil(ber * 2^53); every k passes once ber >= 1, and none for NaN.
-  // Same draws in the same order, so the flips and the RNG state after the
-  // call match the per-bit loop bit for bit.
   constexpr double kScale = 0x1p53;
   const double t = std::ceil(ber * kScale);
   const std::uint64_t threshold =
       t >= kScale ? (1ULL << 53) : t > 0 ? static_cast<std::uint64_t>(t) : 0;
-  const std::size_t n = sf.bits.size();
-  for (std::size_t w = 0; w < sf.bits.n_words(); ++w) {
-    const std::size_t len = std::min<std::size_t>(64, n - 64 * w);
-    std::uint64_t mask = 0;
-    for (std::size_t j = 0; j < len; ++j) {
-      mask = (mask << 1) | ((rng.next_u64() >> 11) < threshold ? 1 : 0);
+
+  // Bits [begin, end) in bit order, one draw each, flips xor-ed in a word
+  // at a time.
+  auto draw = [&](std::size_t begin, std::size_t end) {
+    while (begin < end) {
+      const std::size_t w = begin / 64;
+      const std::size_t stop = std::min(end, 64 * w + 64);
+      std::uint64_t mask = 0;
+      for (std::size_t i = begin; i < stop; ++i) {
+        mask = (mask << 1) | ((rng.next_u64() >> 11) < threshold ? 1 : 0);
+      }
+      mask <<= 64 * w + 64 - stop;
+      if (mask != 0) sf.bits.xor_word(w, mask);
+      begin = stop;
     }
-    mask <<= 64 - len;
-    if (mask != 0) sf.bits.xor_word(w, mask);
+  };
+
+  // Run by run over the energy map: energised CCEs draw per bit, silent
+  // ones jump the RNG over their draws and stay as transmitted.
+  const std::size_t n = sf.cce_used.size();
+  for (std::size_t c = 0; c < n;) {
+    const bool used = sf.cce_used[c];
+    std::size_t end = c + 1;
+    while (end < n && sf.cce_used[end] == used) ++end;
+    if (used) {
+      draw(c * kBitsPerCce, end * kBitsPerCce);
+    } else {
+      rng.discard((end - c) * kBitsPerCce);
+    }
+    c = end;
   }
 }
 

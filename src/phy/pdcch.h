@@ -80,11 +80,16 @@ class PdcchBuilder {
   PdcchSubframe sf_;
 };
 
-// Flip each bit independently with probability `ber` — the monitor-side
-// reception noise. (The scheduled user itself sees the same channel.)
-// Draws one rng.next_u64() per bit in bit order and flips exactly where
-// rng.bernoulli(ber) would, so the result and the RNG state afterwards equal
-// a per-bit bernoulli loop's.
+// The monitor-side reception noise: flip each bit of an energised CCE
+// independently with probability `ber`. (The scheduled user itself sees
+// the same channel.) The stream is one rng.next_u64() per region bit in bit
+// order, and an energised bit flips exactly where rng.bernoulli(ber) would
+// on its draw. Silent CCEs (cce_used false) stay as transmitted: the RNG
+// jumps over their draws (util::Rng::discard), since the blind decoder
+// never attempts a candidate that touches one. So the energised bits and
+// the RNG state afterwards equal a per-bit bernoulli loop's over the whole
+// region. Throws std::invalid_argument unless cce_used covers bits exactly
+// (cce_used.size() * kBitsPerCce == bits.size()).
 void apply_bit_noise(PdcchSubframe& sf, double ber, util::Rng& rng);
 
 // Number of repetitions of a (payload+CRC) message of `msg_bits` bits that

@@ -17,9 +17,9 @@ namespace pbecc::util {
 // CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) over the bits of `bits`.
 std::uint16_t crc16(const BitVec& bits);
 
-// Same CRC over the `len` bits starting at `pos` — lets the decoder's
-// CRC-first screen checksum a message's payload prefix in place instead of
-// copying it out first. Bit-identical to crc16() on the copied range.
+// Same CRC over the `len` bits starting at `pos` — lets the DCI CRC step
+// (phy::dci_crc_rnti) checksum a message's payload prefix in place instead
+// of copying it out first. Bit-identical to crc16() on the copied range.
 std::uint16_t crc16_range(const BitVec& bits, std::size_t pos,
                           std::size_t len);
 

@@ -18,7 +18,7 @@ class Rng {
   void reseed(std::uint64_t seed);
 
   // Uniform on the full 64-bit range. Inline: the PDCCH reception noise
-  // draws once per control-region bit.
+  // draws once per energised control-region bit.
   std::uint64_t next_u64() {
     const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
     const std::uint64_t t = s_[1] << 17;
@@ -30,6 +30,20 @@ class Rng {
     s_[3] = rotl(s_[3], 45);
     return result;
   }
+
+  // Advance the state exactly as `n` calls to next_u64() would, without
+  // producing the draws. The state update is linear over GF(2), so whole
+  // blocks of kJumpUnit draws are taken as products with precomputed
+  // powers of that 256x256 matrix — one per set bit of n / kJumpUnit, with
+  // tables up to kJumpUnit * 2^(kJumpTables - 1) draws and matrix squarings
+  // above that — and the n % kJumpUnit rest is stepped draw by draw. The
+  // tables (kJumpTables * 32 KiB) are built on first use, thread-safely.
+  void discard(std::uint64_t n);
+
+  // One PDCCH CCE's worth of bits: a silent control-region run of k CCEs
+  // is skipped with about popcount(k) table products (DESIGN.md §14.1).
+  static constexpr std::uint64_t kJumpUnit = 72;
+  static constexpr int kJumpTables = 8;
 
   // Uniform double in [0, 1).
   double uniform();

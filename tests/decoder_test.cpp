@@ -2,6 +2,10 @@
 // tracking, and the assembled monitor pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
 #include "decoder/blind_decoder.h"
 #include "decoder/message_fusion.h"
 #include "decoder/monitor.h"
@@ -236,6 +240,7 @@ TEST(BlindDecoder, WordWiseVoteAndAgreementMatchPerBitReference) {
           phy::PdcchSubframe sf;
           sf.coding = coding;
           sf.n_cces = kCces;
+          sf.cce_used.assign(kCces, true);  // the whole region is noised
           sf.bits = random_bits(static_cast<std::size_t>(kCces) * phy::kBitsPerCce);
           const util::BitVec msg = random_bits(static_cast<std::size_t>(len));
           const auto base = static_cast<std::size_t>(first) * phy::kBitsPerCce;
@@ -272,6 +277,57 @@ TEST(BlindDecoder, WordWiseVoteAndAgreementMatchPerBitReference) {
   EXPECT_GT(rejected, 1000);
 }
 
+// One cell per codec: LTE repetition, LTE convolutional, NR polar at µ=1.
+std::vector<phy::CellConfig> oracle_cells() {
+  phy::CellConfig rep_cell{1, 20.0};
+  phy::CellConfig conv_cell{2, 10.0};
+  conv_cell.pdcch_coding = phy::PdcchCoding::kConvolutional;
+  phy::CellConfig nr_cell{3, 20.0};
+  nr_cell.rat = phy::Rat::kNr;
+  nr_cell.scs = nr::Scs::k30kHz;
+  nr_cell.coreset.rbs = 48;
+  nr_cell.coreset.symbols = 2;
+  nr_cell.pdcch_coding = phy::PdcchCoding::kPolar;
+  return {rep_cell, conv_cell, nr_cell};
+}
+
+// A random builder subframe: 0..6 messages of random formats at random
+// aggregation levels (first fit), plus ~15 % of the remaining CCEs
+// energised with random bits as interference, which leaves silent gaps
+// between energised runs.
+phy::PdcchSubframe random_subframe(const phy::CellConfig& cell, int t,
+                                   util::Rng& rng) {
+  const bool is_nr = cell.rat == phy::Rat::kNr;
+  std::vector<phy::DciFormat> formats;
+  if (is_nr) {
+    formats.assign(std::begin(phy::kNrDciFormats), std::end(phy::kNrDciFormats));
+  } else {
+    formats.assign(std::begin(phy::kLteDciFormats), std::end(phy::kLteDciFormats));
+  }
+  phy::PdcchBuilder b(cell, t);
+  const int n_msgs = static_cast<int>(rng.uniform_int(0, 6));
+  for (int m = 0; m < n_msgs; ++m) {
+    const auto fmt = formats[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(formats.size()) - 1))];
+    const int n_prbs = static_cast<int>(rng.uniform_int(1, cell.n_prbs() / 2));
+    const int start = static_cast<int>(rng.uniform_int(0, cell.n_prbs() - n_prbs));
+    auto d = make_dci(static_cast<phy::Rnti>(rng.uniform_int(0x100, 0x400)),
+                      n_prbs, start, fmt,
+                      static_cast<int>(rng.uniform_int(1, 15)));
+    const int al = 1 << rng.uniform_int(0, is_nr ? 4 : 3);
+    b.add_escalating(d, al);
+  }
+  auto sf = std::move(b).build();
+  for (std::size_t c = 0; c < sf.cce_used.size(); ++c) {
+    if (sf.cce_used[c] || rng.uniform() >= 0.15) continue;
+    sf.cce_used[c] = true;  // interference: energy, random bits
+    for (std::size_t i = 0; i < phy::kBitsPerCce; ++i) {
+      sf.bits.set_bit(c * phy::kBitsPerCce + i, (rng.next_u64() & 1) != 0);
+    }
+  }
+  return sf;
+}
+
 // The lockstep decoder against the per-candidate reference search
 // (tests/reference_decoders.h): same found list (DCI, AL, order), same
 // candidates_tried / crc_failures, same per-AL counts — on random
@@ -282,51 +338,14 @@ TEST(BlindDecoder, WordWiseVoteAndAgreementMatchPerBitReference) {
 // energized CCEs carrying random bits stand in for interference, so
 // CRC failures, screen rejects and early aborts all occur.
 TEST(BlindDecoderOracle, LockstepMatchesReferenceSearch) {
-  phy::CellConfig rep_cell{1, 20.0};
-  phy::CellConfig conv_cell{2, 10.0};
-  conv_cell.pdcch_coding = phy::PdcchCoding::kConvolutional;
-  phy::CellConfig nr_cell{3, 20.0};
-  nr_cell.rat = phy::Rat::kNr;
-  nr_cell.scs = nr::Scs::k30kHz;
-  nr_cell.coreset.rbs = 48;
-  nr_cell.coreset.symbols = 2;
-  nr_cell.pdcch_coding = phy::PdcchCoding::kPolar;
-
   util::Rng rng{1313};
-  for (const phy::CellConfig& cell : {rep_cell, conv_cell, nr_cell}) {
-    const bool is_nr = cell.rat == phy::Rat::kNr;
-    std::vector<phy::DciFormat> formats;
-    if (is_nr) {
-      formats.assign(std::begin(phy::kNrDciFormats), std::end(phy::kNrDciFormats));
-    } else {
-      formats.assign(std::begin(phy::kLteDciFormats), std::end(phy::kLteDciFormats));
-    }
+  for (const phy::CellConfig& cell : oracle_cells()) {
     std::uint64_t found = 0, failures = 0, memo_hits = 0, screened = 0,
                   aborted = 0;
     for (const double ber : {0.0, 1e-2, 4e-2}) {
       BlindDecoder dec{cell};
       for (int t = 0; t < 40; ++t) {
-        phy::PdcchBuilder b(cell, t);
-        const int n_msgs = static_cast<int>(rng.uniform_int(0, 6));
-        for (int m = 0; m < n_msgs; ++m) {
-          const auto fmt = formats[static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(formats.size()) - 1))];
-          const int n_prbs = static_cast<int>(rng.uniform_int(1, cell.n_prbs() / 2));
-          const int start = static_cast<int>(rng.uniform_int(0, cell.n_prbs() - n_prbs));
-          auto d = make_dci(static_cast<phy::Rnti>(rng.uniform_int(0x100, 0x400)),
-                            n_prbs, start, fmt,
-                            static_cast<int>(rng.uniform_int(1, 15)));
-          const int al = 1 << rng.uniform_int(0, is_nr ? 4 : 3);
-          b.add_escalating(d, al);
-        }
-        auto sf = std::move(b).build();
-        for (std::size_t c = 0; c < sf.cce_used.size(); ++c) {
-          if (sf.cce_used[c] || rng.uniform() >= 0.15) continue;
-          sf.cce_used[c] = true;  // interference: energy, random bits
-          for (std::size_t i = 0; i < phy::kBitsPerCce; ++i) {
-            sf.bits.set_bit(c * phy::kBitsPerCce + i, (rng.next_u64() & 1) != 0);
-          }
-        }
+        auto sf = random_subframe(cell, t, rng);
         phy::apply_bit_noise(sf, ber, rng);
 
         const ref::SearchResult want = ref::reference_blind_search(cell, sf);
@@ -372,6 +391,63 @@ TEST(BlindDecoderOracle, LockstepMatchesReferenceSearch) {
     } else {
       EXPECT_GT(aborted, 100u);
     }
+  }
+}
+
+// The reception noise draws only on energised CCEs and jumps the RNG over
+// silent ones. Against the full-region per-bit loop
+// (ref::reference_bit_noise), which also flips silent bits, the decoder
+// must see no difference: same found list (DCI, AL, order), same
+// DecodeStats (every counter, memo and screen included), and the RNG ends
+// in the same state — on random gapped subframes for each codec at three
+// bit-error rates.
+TEST(BlindDecoderOracle, EnergisedNoiseDecodesLikeFullRegionNoise) {
+  util::Rng rng{1515};
+  for (const phy::CellConfig& cell : oracle_cells()) {
+    std::uint64_t found = 0, silent_flips_differ = 0, gapped = 0;
+    for (const double ber : {1e-3, 1e-2, 4e-2}) {
+      BlindDecoder dec_new{cell}, dec_ref{cell};
+      for (int t = 0; t < 40; ++t) {
+        SCOPED_TRACE(testing::Message()
+                     << "coding " << static_cast<int>(cell.pdcch_coding)
+                     << " ber " << ber << " sf " << t);
+        const phy::PdcchSubframe clean = random_subframe(cell, t, rng);
+        const auto& used = clean.cce_used;
+        for (std::size_t c = 1; c + 1 < used.size(); ++c) {
+          if (used[c - 1] && !used[c] &&
+              std::find(used.begin() + static_cast<std::ptrdiff_t>(c),
+                        used.end(), true) != used.end()) {
+            ++gapped;  // a silent run with energy on both sides
+            break;
+          }
+        }
+        phy::PdcchSubframe sf_new = clean, sf_ref = clean;
+        util::Rng r_new{rng.next_u64()};
+        util::Rng r_ref = r_new;
+        phy::apply_bit_noise(sf_new, ber, r_new);
+        ref::reference_bit_noise(sf_ref, ber, r_ref);
+        ASSERT_EQ(r_new.next_u64(), r_ref.next_u64());
+        silent_flips_differ += sf_new.bits != sf_ref.bits ? 1 : 0;
+
+        const DecodeRun got = dec_new.decode_compute(sf_new);
+        const DecodeRun want = dec_ref.decode_compute(sf_ref);
+        ASSERT_EQ(got.found.size(), want.found.size());
+        for (std::size_t i = 0; i < want.found.size(); ++i) {
+          EXPECT_EQ(got.found[i].dci, want.found[i].dci) << i;
+          EXPECT_EQ(got.found[i].al, want.found[i].al) << i;
+        }
+        EXPECT_EQ(got.delta, want.delta);
+        found += got.found.size();
+        dec_new.decode_apply(got);
+        dec_ref.decode_apply(want);
+      }
+    }
+    SCOPED_TRACE(testing::Message()
+                 << "coding " << static_cast<int>(cell.pdcch_coding));
+    EXPECT_GT(found, 100u);
+    EXPECT_GT(gapped, 60u);
+    // The reference really flipped silent bits the decoder never read.
+    EXPECT_GT(silent_flips_differ, 60u);
   }
 }
 

@@ -2,7 +2,9 @@
 // wire format, the synthetic PDCCH, and the wireless channel model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "phy/cell_config.h"
 #include "phy/channel.h"
@@ -11,6 +13,7 @@
 #include "phy/mcs.h"
 #include "phy/pdcch.h"
 #include "phy/transport_block.h"
+#include "reference_decoders.h"
 #include "util/crc.h"
 
 namespace pbecc::phy {
@@ -236,14 +239,14 @@ TEST(Dci, InvalidRntiRangeRejected) {
   EXPECT_FALSE(decode_dci(encode_dci(d), d.format, 100).has_value());
 }
 
-// The cheap CRC-first screen must be a sound filter for decode_dci: a
-// screened-out message can never have decoded (no payload copy, no field
-// parse), and every genuine message passes it. The screen is exactly
-// "CRC residue lands in the C-RNTI window", so appending
+// The CRC step (dci_crc_rnti) must be a sound filter for decode_dci: a
+// rejected message can never have decoded, every accepted one yields the
+// RNTI the CRC was masked with, and every genuine message passes it. The
+// step is exactly "CRC residue lands in the C-RNTI window", so appending
 // crc16(payload) ^ rnti to a random payload pins the residue to `rnti`
 // and lets us probe both sides of every window boundary directly —
 // random sampling would hit the narrow reject band (~0.1% of the 16-bit
-// space) almost never.
+// space) almost never. decode_dci is the CRC step plus parse_dci_fields.
 TEST(Dci, CrcScreenNeverRejectsDecodable) {
   util::Rng rng{41};
   const Rnti out_of_range[] = {0x0000, 0x0001, 0x003C, 0xFFF4, 0xFFFE, 0xFFFF};
@@ -260,26 +263,34 @@ TEST(Dci, CrcScreenNeverRejectsDecodable) {
       for (const Rnti rnti : out_of_range) {
         util::BitVec bits = payload;
         bits.push_uint(static_cast<std::uint16_t>(residue ^ rnti), 16);
-        EXPECT_FALSE(dci_crc_screen(bits, fmt)) << "format " << f;
+        EXPECT_FALSE(dci_crc_rnti(bits, fmt).has_value()) << "format " << f;
         EXPECT_FALSE(decode_dci(bits, fmt, 100).has_value()) << "format " << f;
       }
       for (const Rnti rnti : in_range) {
         util::BitVec bits = payload;
         bits.push_uint(static_cast<std::uint16_t>(residue ^ rnti), 16);
-        EXPECT_TRUE(dci_crc_screen(bits, fmt)) << "format " << f;
+        const auto got = dci_crc_rnti(bits, fmt);
+        ASSERT_TRUE(got.has_value()) << "format " << f;
+        EXPECT_EQ(*got, rnti) << "format " << f;
+        EXPECT_EQ(decode_dci(bits, fmt, 100),
+                  parse_dci_fields(bits, fmt, rnti, 100))
+            << "format " << f;
       }
     }
   }
-  // Genuine messages always pass.
+  // Genuine messages always pass and parse back.
   Dci d;
   d.rnti = 0x0456;
   d.format = DciFormat::kFormat1;
   d.prb_start = 4;
   d.n_prbs = 20;
   d.mcs = {6, 1};
-  EXPECT_TRUE(dci_crc_screen(encode_dci(d), d.format));
-  // Wrong-length input is screened out, same as decode_dci rejects it.
-  EXPECT_FALSE(dci_crc_screen(encode_dci(d), DciFormat::kFormat2));
+  EXPECT_EQ(dci_crc_rnti(encode_dci(d), d.format), d.rnti);
+  EXPECT_EQ(parse_dci_fields(encode_dci(d), d.format, d.rnti, 100), d);
+  // Wrong-length input is rejected by both steps, same as decode_dci.
+  EXPECT_FALSE(dci_crc_rnti(encode_dci(d), DciFormat::kFormat2).has_value());
+  EXPECT_FALSE(parse_dci_fields(encode_dci(d), DciFormat::kFormat2, d.rnti, 100)
+                   .has_value());
 }
 
 // ----------------------------------------------------------------- pdcch
@@ -345,58 +356,137 @@ TEST(Pdcch, InvalidAggregationThrows) {
   EXPECT_THROW(b.add(d, 3), std::invalid_argument);
 }
 
-TEST(Pdcch, NoiseFlipsBitsDeterministically) {
-  CellConfig cell{1, 10.0};
-  PdcchBuilder b1(cell, 0);
-  auto sf1 = std::move(b1).build();
-  auto sf2 = sf1;
-  util::Rng r1{5}, r2{5};
-  apply_bit_noise(sf1, 0.1, r1);
-  apply_bit_noise(sf2, 0.1, r2);
-  EXPECT_EQ(sf1.bits, sf2.bits);
-  int flips = 0;
-  for (std::size_t i = 0; i < sf1.bits.size(); ++i) flips += sf1.bits.bit(i);
-  EXPECT_NEAR(flips / static_cast<double>(sf1.bits.size()), 0.1, 0.02);
+// A whole-CCE region of random bits with the given energy map.
+PdcchSubframe noise_region(const std::vector<bool>& used, util::Rng& fill) {
+  PdcchSubframe sf;
+  sf.n_cces = static_cast<int>(used.size());
+  sf.cce_used = used;
+  sf.bits = util::BitVec(used.size() * kBitsPerCce);
+  for (std::size_t w = 0; w < sf.bits.n_words(); ++w) {
+    const std::size_t len = std::min<std::size_t>(64, sf.bits.size() - 64 * w);
+    sf.bits.xor_word(w, len == 64 ? fill.next_u64()
+                                  : fill.next_u64() & ~(~0ULL >> len));
+  }
+  return sf;
 }
 
-// The word-wise noise against a per-bit rng.bernoulli(ber) loop: the same
-// bits flip and the RNG ends in the same state (the next draw agrees), for
-// region sizes that are not multiples of 64 and BERs from denormal-small to
-// beyond 1.
+// Energy maps covering every run shape: all silent, all energised, one
+// CCE, interior gaps, leading and trailing silent runs, alternation, and
+// random maps at a few occupancies.
+std::vector<std::vector<bool>> energy_maps(util::Rng& rng) {
+  std::vector<std::vector<bool>> maps = {
+      std::vector<bool>(84, false),
+      std::vector<bool>(84, true),
+      {true},
+      {false},
+      {true, true, false, false, false, true, true},
+      {false, false, true, true, true, true},
+      {true, true, true, false, false},
+      {false, true, false, true, false, true, false, true, false}};
+  for (const double p : {0.07, 0.5, 0.9}) {
+    for (const std::size_t n : {21u, 84u, 135u, 300u}) {
+      std::vector<bool> m(n);
+      for (std::size_t c = 0; c < n; ++c) m[c] = rng.bernoulli(p);
+      maps.push_back(m);
+    }
+  }
+  return maps;
+}
+
+// Same seed, same region: same flips. Flips land only on energised CCEs,
+// at about the BER.
+TEST(Pdcch, NoiseFlipsBitsDeterministically) {
+  util::Rng maps_rng{5};
+  for (const auto& used : energy_maps(maps_rng)) {
+    util::Rng fill{17};
+    const PdcchSubframe clean = noise_region(used, fill);
+    auto sf1 = clean, sf2 = clean;
+    util::Rng r1{5}, r2{5};
+    apply_bit_noise(sf1, 0.1, r1);
+    apply_bit_noise(sf2, 0.1, r2);
+    EXPECT_EQ(sf1.bits, sf2.bits);
+    EXPECT_EQ(r1.next_u64(), r2.next_u64());
+    std::size_t flips = 0, energised_bits = 0;
+    for (std::size_t i = 0; i < clean.bits.size(); ++i) {
+      const bool flipped = sf1.bits.bit(i) != clean.bits.bit(i);
+      if (used[i / kBitsPerCce]) {
+        flips += flipped;
+        ++energised_bits;
+      } else {
+        EXPECT_FALSE(flipped) << "silent bit " << i;
+      }
+    }
+    if (energised_bits >= 72 * 20) {
+      EXPECT_NEAR(static_cast<double>(flips) / energised_bits, 0.1, 0.02);
+    }
+  }
+}
+
+// apply_bit_noise against the full-region per-bit rng.bernoulli(ber) loop
+// (ref::reference_bit_noise): every energised bit equals the reference's,
+// every silent bit stays as transmitted, and the RNG ends in the same state
+// (the next draw agrees) — for every energy-map shape and BERs from
+// denormal-small to beyond 1.
 TEST(Pdcch, NoiseMatchesPerBitBernoulli) {
   const double bers[] = {1e-300, 1e-9, 1e-3, 0.05, 0.5, 1.0, 1.5};
-  const std::size_t sizes[] = {1, 63, 65, 72 * 3, 72 * 21 + 5, 72 * 84};
+  util::Rng maps_rng{11};
+  const auto maps = energy_maps(maps_rng);
   std::uint64_t seed = 1;
   for (const double ber : bers) {
-    for (const std::size_t n : sizes) {
-      SCOPED_TRACE(testing::Message() << "ber " << ber << " n " << n);
+    for (std::size_t k = 0; k < maps.size(); ++k) {
+      SCOPED_TRACE(testing::Message() << "ber " << ber << " map " << k);
+      const auto& used = maps[k];
       util::Rng fill{seed};
-      PdcchSubframe sf;
-      for (std::size_t i = 0; i < n; ++i) sf.bits.push_bit(fill.bernoulli(0.5));
-      PdcchSubframe ref = sf;
+      const PdcchSubframe clean = noise_region(used, fill);
+      PdcchSubframe sf = clean, ref = clean;
       util::Rng r_new{++seed}, r_ref{seed};
       apply_bit_noise(sf, ber, r_new);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (r_ref.bernoulli(ber)) ref.bits.flip_bit(i);
+      ref::reference_bit_noise(ref, ber, r_ref);
+      for (std::size_t i = 0; i < clean.bits.size(); ++i) {
+        const bool want = used[i / kBitsPerCce] ? ref.bits.bit(i)
+                                                : clean.bits.bit(i);
+        ASSERT_EQ(sf.bits.bit(i), want) << "bit " << i;
       }
-      EXPECT_EQ(sf.bits, ref.bits);
       EXPECT_EQ(r_new.next_u64(), r_ref.next_u64());
     }
   }
   // The integer threshold sits exactly on bernoulli's boundary: for a draw
   // x, a BER of (x >> 11) * 2^-53 does not flip it, the next double up
-  // does, the next double down does not.
+  // does, the next double down does not. Checked on the first bit of an
+  // energised CCE behind a silent one, so the draw comes after a jump.
   for (std::uint64_t seed2 = 1; seed2 <= 50; ++seed2) {
     util::Rng peek{seed2};
+    peek.discard(kBitsPerCce);
     const double at = static_cast<double>(peek.next_u64() >> 11) * 0x1p-53;
     for (const double ber : {at, std::nextafter(at, 2.0), std::nextafter(at, 0.0)}) {
       if (ber <= 0.0) continue;
       util::Rng r_new{seed2}, r_ref{seed2};
       PdcchSubframe sf;
-      sf.bits = util::BitVec(1);
+      sf.cce_used = {false, true};
+      sf.bits = util::BitVec(2 * kBitsPerCce);
       apply_bit_noise(sf, ber, r_new);
-      EXPECT_EQ(sf.bits.bit(0), r_ref.bernoulli(ber)) << seed2 << " " << ber;
+      r_ref.discard(kBitsPerCce);
+      EXPECT_EQ(sf.bits.bit(kBitsPerCce), r_ref.bernoulli(ber))
+          << seed2 << " " << ber;
     }
+  }
+}
+
+// The energy map must cover the region exactly, whatever the BER: a short
+// or long map, or a region that is not whole CCEs, throws.
+TEST(Pdcch, NoiseRejectsMismatchedEnergyMap) {
+  util::Rng rng{3};
+  for (const double ber : {0.0, 0.01}) {
+    PdcchSubframe sf;
+    sf.bits = util::BitVec(3 * kBitsPerCce);
+    sf.cce_used = {true, false};
+    EXPECT_THROW(apply_bit_noise(sf, ber, rng), std::invalid_argument);
+    sf.cce_used = {true, false, true, true};
+    EXPECT_THROW(apply_bit_noise(sf, ber, rng), std::invalid_argument);
+    sf.bits = util::BitVec(4 * kBitsPerCce + 5);
+    EXPECT_THROW(apply_bit_noise(sf, ber, rng), std::invalid_argument);
+    sf.bits = util::BitVec(4 * kBitsPerCce);
+    EXPECT_NO_THROW(apply_bit_noise(sf, ber, rng));
   }
 }
 

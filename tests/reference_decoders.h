@@ -1,5 +1,10 @@
 // Test-only oracles for the blind-decode path.
 //
+// reference_bit_noise is the reception noise as a plain per-bit loop over
+// the whole control region: one rng.bernoulli(ber) per bit in bit order,
+// silent CCEs included. phy::apply_bit_noise must flip the same energised
+// bits, leave the silent ones alone and leave the RNG in the same state.
+//
 // conv_decode_reference is the textbook hard-decision Viterbi decoder for
 // the 36.212 rate-1/3, K=7 code: its own generator table, a full trellis
 // per call, no pruning, no batching. phy::conv_decode_batch must match it
@@ -30,8 +35,17 @@
 #include "phy/dci.h"
 #include "phy/pdcch.h"
 #include "util/bitvec.h"
+#include "util/rng.h"
 
 namespace pbecc::ref {
+
+inline void reference_bit_noise(phy::PdcchSubframe& sf, double ber,
+                                util::Rng& rng) {
+  if (ber <= 0.0) return;
+  for (std::size_t i = 0; i < sf.bits.size(); ++i) {
+    if (rng.bernoulli(ber)) sf.bits.flip_bit(i);
+  }
+}
 
 inline util::BitVec conv_decode_reference(const util::BitVec& received,
                                           std::size_t payload_bits) {

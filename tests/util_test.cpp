@@ -146,6 +146,33 @@ TEST(Rng, ForkIndependent) {
   EXPECT_LT(same, 2);
 }
 
+// discard(n) is n next_u64() calls: same state afterwards, checked by the
+// next few draws. Covers no jump (n < kJumpUnit), exact table multiples,
+// mixed table products plus a stepped rest, and counts past the largest
+// table (the squaring path).
+TEST(Rng, DiscardMatchesStepping) {
+  const std::uint64_t unit = Rng::kJumpUnit;
+  const std::uint64_t past_tables = unit << Rng::kJumpTables;
+  const std::uint64_t ns[] = {0,         1,
+                              63,        64,
+                              65,        72,
+                              72 * 84,   72 * 135,
+                              (1u << 16) + 3, past_tables,
+                              past_tables + unit + 5,
+                              3 * past_tables + 71};
+  for (std::uint64_t seed : {1u, 99u}) {
+    for (const std::uint64_t n : ns) {
+      Rng jumped{seed}, stepped{seed};
+      jumped.discard(n);
+      for (std::uint64_t i = 0; i < n; ++i) stepped.next_u64();
+      for (int k = 0; k < 4; ++k) {
+        ASSERT_EQ(jumped.next_u64(), stepped.next_u64())
+            << "seed " << seed << " n " << n << " draw " << k;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------- stats
 
 TEST(OnlineStatsTest, Basics) {
@@ -622,6 +649,40 @@ TEST(CrcTest, RangeMatchesBitSerialReference) {
     }
   }
   EXPECT_THROW(crc16_range(b, 250, 7), std::out_of_range);
+}
+
+// Slice-by-8 crc32 against the plain byte-at-a-time table loop, over
+// lengths 0..4099 at every offset mod 8 (the 8-byte body and the byte tail
+// both vary), as one call and split into two streamed calls.
+TEST(CrcTest, Crc32MatchesBytewiseReference) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  auto reference = [&](const unsigned char* p, std::size_t len) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+    return c ^ 0xFFFFFFFFu;
+  };
+  Rng rng{4099};
+  std::vector<unsigned char> buf(4099 + 8);
+  for (auto& byte : buf) byte = static_cast<unsigned char>(rng.next_u64());
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto len = static_cast<std::size_t>(trial < 64 ? trial
+                                                  : rng.uniform_int(0, 4099));
+    const auto off = static_cast<std::size_t>(trial % 8);
+    const unsigned char* p = buf.data() + off;
+    const std::uint32_t want = reference(p, len);
+    ASSERT_EQ(crc32(p, len), want) << "len " << len << " off " << off;
+    const auto split = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(len)));
+    ASSERT_EQ(crc32(p + split, len - split, crc32(p, split)), want)
+        << "len " << len << " off " << off << " split " << split;
+  }
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
 }
 
 // ---------------------------------------------------------------- arena
